@@ -1,10 +1,17 @@
 """Benchmark-harness helpers.
 
 Each ``test_eN_*.py`` regenerates one experiment from DESIGN.md's index:
-it sweeps the workload, prints the paper-shaped table, writes it under
-``benchmarks/results/`` (the files EXPERIMENTS.md cites), and times one
+it sweeps the workload, prints the paper-shaped table, and times one
 representative unit through the ``benchmark`` fixture so the whole suite
 runs under ``pytest benchmarks/ --benchmark-only``.
+
+The tables and metrics land under ``benchmarks/results/`` (the files
+EXPERIMENTS.md cites) only on request — ``REPRO_WRITE_RESULTS=1`` — so a
+plain test run checks every sweep and assertion but leaves the tracked
+result files alone.  Regenerate them deliberately with::
+
+    REPRO_WRITE_RESULTS=1 PYTHONPATH=src python -m pytest benchmarks
+    python tools/bench_summary.py
 
 Heavy experiments use ``benchmark.pedantic(..., rounds=1, iterations=1)``:
 the sweep itself is the measurement; re-running it for timing statistics
@@ -14,6 +21,7 @@ would multiply minutes of simulation for no extra information.
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import subprocess
 
@@ -24,6 +32,14 @@ from repro import telemetry
 from repro.telemetry import report as telemetry_report
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: Environment variable that opts a run into rewriting ``RESULTS_DIR``.
+WRITE_RESULTS_ENV = "REPRO_WRITE_RESULTS"
+
+
+def writing_results() -> bool:
+    """Whether this run should persist its tables under ``RESULTS_DIR``."""
+    return os.environ.get(WRITE_RESULTS_ENV) == "1"
 
 
 @pytest.fixture(autouse=True)
@@ -49,7 +65,11 @@ def _bench_telemetry():
 
 
 def write_result(name: str, text: str) -> None:
-    """Persist an experiment's table under benchmarks/results/."""
+    """Print an experiment's table; persist it under benchmarks/results/
+    when :func:`writing_results` is on."""
+    if not writing_results():
+        print(f"\n{text}\n[not written: set {WRITE_RESULTS_ENV}=1]")
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
@@ -81,7 +101,11 @@ def write_metrics(experiment: str, records: list[dict]) -> None:
     test-so-far ``phase_breakdown`` — per-span wall/self seconds, RNG
     draws, and per-phase congest rounds (``repro.telemetry/v1``, validated
     by ``tools/bench_summary.py --check``).
+
+    Writes nothing unless :func:`writing_results` is on.
     """
+    if not writing_results():
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     commit = current_commit()
     breakdown = None

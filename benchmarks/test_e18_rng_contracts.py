@@ -204,9 +204,10 @@ def test_e18_pr7_rng_v2_speedup():
     lines = [
         "PR 7  batched RNG consumption contract (v2): per repetition the",
         "class draws one corruption batch, one flat measurement batch over",
-        "every pending search of every non-corrupted lane, and one slot",
-        "batch — ≤3 generator calls per repetition instead of a per-lane",
-        "generator walk — plus whole-segment uniform chunks in Step 2.",
+        "every pending search with a solution of every non-corrupted lane,",
+        "and one slot batch — ≤3 generator calls per repetition instead of",
+        "a per-lane generator walk — plus whole-segment uniform chunks in",
+        "Step 2.",
         "Sequential consumption survives as rng_contract='v1'",
         "(core/_reference.py is its definition); equivalence is",
         "property-tested in tests/test_rng_contract_v2.py.",

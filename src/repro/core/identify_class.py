@@ -145,15 +145,19 @@ def run_identify_class(
         if chosen.size:
             sampled[u] = chosen
 
-    # Broadcast R: each broadcaster ships (partner id, pair weight) tuples.
-    payloads = {
-        u: (
-            [(int(v), float(pair_weights[u, v])) for v in chosen],
-            2 * int(chosen.size),
-        )
-        for u, chosen in sampled.items()
-    }
-    network.broadcast_all(payloads, "identify_class.broadcast_samples")
+    # Broadcast R: each broadcaster ships (partner id, pair weight) tuples,
+    # two words per sample.  Every node then knows R, which the simulator
+    # assembles directly below, so the broadcast is charged payload-free
+    # (base positions are vertex ids).
+    network.broadcast_volume(
+        np.fromiter(sampled.keys(), dtype=np.int64, count=len(sampled)),
+        np.fromiter(
+            (2 * chosen.size for chosen in sampled.values()),
+            dtype=np.int64,
+            count=len(sampled),
+        ),
+        "identify_class.broadcast_samples",
+    )
 
     # Assemble R (globally known after the broadcast), grouped by the coarse
     # block pair that owns each sampled pair.
@@ -202,19 +206,20 @@ def run_identify_class(
             t_alpha[(bu, bv)] = dict(per_alpha)
 
     # Every triple node announces its (single-word) class so that search
-    # nodes know each Tα[u, v].
-    class_payloads = {
-        ("class", label): (alpha, 1) for label, alpha in classes.items()
-    }
-    # Broadcasting one word from each of the n triple nodes costs O(1)
-    # rounds; the triple labels live on the triple scheme, so charge through
-    # the physical hosts of that scheme.  The labels are dict keys —
+    # nodes know each Tα[u, v] — which ``t_alpha`` already holds, so the
+    # broadcast is charged payload-free.  Broadcasting one word from each of
+    # the n triple nodes costs O(1) rounds, charged through the physical
+    # hosts of the announce scheme.  The labels are dict keys —
     # duplicate-free by construction, so registration skips the set() scan.
     network.register_scheme(
-        "identify_class_announce", DistinctLabels(list(class_payloads.keys()))
+        "identify_class_announce",
+        DistinctLabels([("class", label) for label in classes]),
     )
-    network.broadcast_all(
-        class_payloads, "identify_class.broadcast_classes", scheme="identify_class_announce"
+    network.broadcast_volume(
+        np.arange(len(classes), dtype=np.int64),
+        np.ones(len(classes), dtype=np.int64),
+        "identify_class.broadcast_classes",
+        scheme="identify_class_announce",
     )
 
     return ClassAssignment(

@@ -47,7 +47,7 @@ repetition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -78,6 +78,25 @@ NodePairs = Mapping[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarr
 #: stack (and the nnz-sized CSR outputs derived from it) cache-resident
 #: instead of materializing one class-wide block.
 _LANE_CHUNK_CELLS = 1 << 20
+
+
+def found_pair_set(
+    found_chunks: Sequence[np.ndarray], num_vertices: int
+) -> set[tuple[int, int]]:
+    """The distinct ``(a, b)`` rows of a class's found-pair chunks.
+
+    Many lanes find the same pair, so the rows are collapsed through a flat
+    ``a·n + b`` boolean mask before any Python tuple is built (``tolist``
+    yields Python ints, so the tuples match per-pair adds).  The mask is
+    linear in ``n²`` and sort-free, unlike ``np.unique(axis=0)``.
+    """
+    if not found_chunks:
+        return set()
+    found = np.concatenate(found_chunks).reshape(-1, 2)
+    seen = np.zeros(num_vertices * num_vertices, dtype=bool)
+    seen[found[:, 0] * num_vertices + found[:, 1]] = True
+    keys = np.flatnonzero(seen)
+    return set(zip((keys // num_vertices).tolist(), (keys % num_vertices).tolist()))
 
 
 @dataclass
@@ -585,9 +604,9 @@ def _run_step3_dispatched(
             report.total_searches += result["total_searches"]
             report.typicality_truncations += result["truncations"]
             report.corrupted_repetitions += result["corrupted"]
-            found = np.asarray(result["found"])
-            if found.size:
-                report.found_pairs.update(map(tuple, found.tolist()))
+            report.found_pairs.update(
+                found_pair_set([result["found"]], partitions.num_vertices)
+            )
             network.charge_local(f"step3.alpha{alpha}.search", result["rounds"])
             report.search_rounds_per_alpha[alpha] = result["rounds"]
         elif alpha in empty_lane_alphas:
@@ -622,7 +641,7 @@ def _run_class(
     if search_mode == "classical":
         _run_class_classical(
             network, node_pairs, arrays, (counts, offsets, flat_blocks),
-            in_domain, alpha, eval_r, report,
+            in_domain, alpha, eval_r, report, partitions.num_vertices,
         )
         return
 
@@ -667,12 +686,9 @@ def _run_class(
         found = pairs[result.found_mask()]
         if found.size:
             found_chunks.append(found)
-    if found_chunks:
-        # One concatenation and one set update for the whole class (tolist
-        # yields Python ints, so the tuples match the per-pair adds).
-        report.found_pairs.update(
-            map(tuple, np.concatenate(found_chunks).tolist())
-        )
+    report.found_pairs.update(
+        found_pair_set(found_chunks, partitions.num_vertices)
+    )
     # All nodes search in the same (global) rounds: the phase costs the
     # longest node schedule, not the sum.
     network.charge_local(f"step3.alpha{alpha}.search", phase_rounds)
@@ -753,6 +769,7 @@ def _run_class_classical(
     alpha: int,
     eval_r: float,
     report: Step3Report,
+    num_vertices: int,
 ) -> None:
     """Linear-scan ablation: every node checks each block of its domain with
     one evaluation each — ``|X| · r`` rounds instead of ``Õ(√|X|) · r``,
@@ -772,9 +789,6 @@ def _run_class_classical(
         found = pairs[hit]
         if found.size:
             found_chunks.append(found)
-    if found_chunks:
-        report.found_pairs.update(
-            map(tuple, np.concatenate(found_chunks).tolist())
-        )
+    report.found_pairs.update(found_pair_set(found_chunks, num_vertices))
     network.charge_local(f"step3.alpha{alpha}.search", rounds)
     report.search_rounds_per_alpha[alpha] = rounds

@@ -47,13 +47,18 @@ it is consumed is governed by a versioned **RNG consumption contract**:
     One *batch generator* — seeded from the same per-lane seed column v1
     would have handed out — serves the whole class: per repetition it draws
     the corruption flags for all active lanes in one call, the measurement
-    variates for every pending search of every non-corrupted lane in one
-    flat call, and the measurement slots for all hits in one call.  Stream
-    identity with v1 is deliberately broken; what is preserved (and
-    property-tested in ``tests/test_rng_contract_v2.py``) is the
-    distributional contract of Lemma 5 — per-search marginals, found-pair
-    validity, corruption-rate bounds — plus the exact round/oracle charge
-    identities, which depend only on the shared schedule.
+    variates for every pending search *with at least one solution* of every
+    non-corrupted lane in one flat call, and the measurement slots for all
+    hits in one call.  Zero-solution searches are never drawn: their
+    outcome is deterministic (a measurement can only land on the padding
+    slot, which verification discards), so they only keep their lane
+    pending — with the same drop-out, early-stop, freeze and charge
+    behaviour as if they had been measured.  Stream identity with v1 is
+    deliberately broken; what is preserved (and property-tested in
+    ``tests/test_rng_contract_v2.py``) is the distributional contract of
+    Lemma 5 — per-search marginals, found-pair validity, corruption-rate
+    bounds — plus the exact round/oracle charge identities, which depend
+    only on the shared schedule.
 
 Lanes drop out of the active set as they finish (every search found, or the
 repetition budget exhausted) under both contracts, mirroring the per-node
@@ -214,7 +219,7 @@ class BatchedMultiSearch:
     Scale-out contract: one ``BatchedMultiSearch`` is the smallest unit the
     :mod:`repro.parallel` dispatcher may move to another process.  Both
     contracts tie every lane of a class to shared per-class RNG state (the
-    v2 batch generator consumes exactly three calls per repetition across
+    v2 batch generator makes at most three calls per repetition across
     *all* lanes), so splitting a class's lanes across workers would change
     the streams; dispatching whole classes — with ``tables``, ``seeds``,
     and ``batch_rng`` read zero-copy from shared-memory arena columns
@@ -496,14 +501,16 @@ class BatchedMultiSearch:
     ) -> dict[Hashable, MultiSearchReport]:
         """The batched contract: all lanes advance off one generator.
 
-        Per repetition exactly three generator calls happen, regardless of
+        Per repetition at most three generator calls happen, regardless of
         lane count: corruption flags for the active lanes (lane order),
-        measurement variates for every pending search of every
-        non-corrupted lane (flat ``(lane, search)`` order), and measurement
-        slots for the hits.  The control flow per lane — charge, corrupted
-        skip, empty-pending drop-out, early stop, deterministic
-        fast-forward — is the same as :meth:`_run`, expressed over flat
-        cross-lane arrays instead of a per-lane inner loop.
+        measurement variates for every pending search with at least one
+        solution of every non-corrupted lane (flat ``(lane, search)``
+        order), and measurement slots for the hits.  The control flow per
+        lane — charge, corrupted skip, empty-pending drop-out, early stop,
+        deterministic fast-forward — is the same as :meth:`_run`, expressed
+        over flat cross-lane arrays instead of a per-lane inner loop;
+        zero-solution searches count as pending there but never enter the
+        measurement batch.
         """
         repetitions = len(schedule)
         schedule_column = np.asarray(schedule, dtype=np.int64)
@@ -551,12 +558,15 @@ class BatchedMultiSearch:
         corrupted = np.zeros(num_lanes, dtype=np.int64)
         fidelity_max = np.zeros(num_lanes, dtype=np.float64)
         measuring = np.zeros(num_lanes, dtype=bool)
-        # Working set: indices of pending searches in still-active lanes,
-        # always ascending — so the measurement batch below keeps the
-        # contract's flat (lane, search) draw order while per-repetition
-        # work shrinks with completions exactly like the sequential form's.
-        work = np.arange(lane_off[-1], dtype=np.int64)
-        work_lane = search_lane
+        # Working set: indices of pending searches with at least one
+        # solution in still-active lanes, always ascending — so the
+        # measurement batch below keeps the contract's flat (lane, search)
+        # draw order while per-repetition work shrinks with completions.
+        # Zero-solution searches stay out of it for good: measuring one can
+        # only hit the padding slot, so it would consume randomness without
+        # any effect.  They still count in ``pend_count``.
+        work = np.flatnonzero(counts > 0)
+        work_lane = search_lane[work]
 
         for rep in range(repetitions):
             idx = np.flatnonzero(lane_active)

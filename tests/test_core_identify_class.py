@@ -1,11 +1,14 @@
 """Tests for Algorithm IdentifyClass (Figure 2, Proposition 5)."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 import repro
 from repro.congest.network import CongestClique
 from repro.congest.partitions import CliquePartitions
+from repro.congest.trace import Tracer
 from repro.core.constants import PaperConstants
 from repro.core.evaluation import block_two_hop
 from repro.core.identify_class import ClassAssignment, run_identify_class, _class_of
@@ -148,3 +151,66 @@ class TestRunIdentifyClass:
                 delta += int(bool(witnesses))
             expected_alpha = _class_of(float(delta), 16, consts)
             assert alpha == expected_alpha
+
+
+def charge_via_broadcast_all(network, instance, constants, assignment, seed):
+    """Test-side oracle: charge IdentifyClass's two broadcasts the
+    inbox-writing way.  Λ(u) is re-drawn from a fresh generator on the same
+    seed, and real ``(partner, weight)`` payloads and class words are pushed
+    through :meth:`CongestClique.broadcast_all`."""
+    generator = np.random.default_rng(seed)
+    n = instance.num_vertices
+    weights = instance.effective_pair_graph().weights
+    partners = defaultdict(list)
+    for u, v in instance.effective_scope():
+        partners[u].append(v)
+        partners[v].append(u)
+    rate = constants.identify_rate(n)
+    payloads = {}
+    for u in range(n):
+        own = np.asarray(partners.get(u, ()), dtype=np.int64)
+        if own.size == 0:
+            continue
+        chosen = own[generator.random(own.size) < rate]
+        if chosen.size:
+            payloads[u] = (
+                [(int(v), float(weights[u, v])) for v in chosen],
+                2 * int(chosen.size),
+            )
+    network.broadcast_all(payloads, "identify_class.broadcast_samples")
+    class_payloads = {
+        ("class", label): (alpha, 1) for label, alpha in assignment.classes.items()
+    }
+    network.register_scheme("identify_class_announce", list(class_payloads))
+    network.broadcast_all(
+        class_payloads, "identify_class.broadcast_classes",
+        scheme="identify_class_announce",
+    )
+
+
+class TestBroadcastChargeIdentity:
+    """The payload-free broadcasts charge exactly what inbox-writing
+    ``broadcast_all`` broadcasts of the same samples and classes would."""
+
+    @pytest.mark.parametrize("n,seed", [(16, 0), (16, 1), (24, 2), (48, 0), (48, 3)])
+    def test_matches_broadcast_all_oracle(self, n, seed):
+        graph = repro.random_undirected_graph(n, density=0.5, max_weight=6, rng=seed)
+        instance = FindEdgesInstance(graph)
+        constants = PaperConstants(scale=0.5)
+        network, partitions, two_hop_for = setup_network(instance)
+        network.tracer = Tracer(n)
+        assignment = run_identify_class(
+            network, instance, partitions, constants, two_hop_for, rng=seed
+        )
+        oracle, _partitions, _two_hop = setup_network(instance)
+        oracle.tracer = Tracer(n)
+        charge_via_broadcast_all(oracle, instance, constants, assignment, seed)
+
+        ledger = network.ledger.snapshot()
+        assert ledger["identify_class.broadcast_samples"] > 0
+        assert ledger == oracle.ledger.snapshot()
+        assert network.tracer.events == oracle.tracer.events
+        # Same scheme registrations, so the network stream is untouched.
+        assert np.array_equal(network.rng.random(4), oracle.rng.random(4))
+        assert any(node.inbox for node in oracle.base_nodes())
+        assert all(node.inbox == [] for node in network.base_nodes())

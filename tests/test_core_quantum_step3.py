@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.congest.network import CongestClique
@@ -9,7 +11,7 @@ from repro.congest.partitions import CliquePartitions
 from repro.core.constants import PaperConstants
 from repro.core.evaluation import block_two_hop
 from repro.core.identify_class import ClassAssignment
-from repro.core.quantum_step3 import run_step3
+from repro.core.quantum_step3 import found_pair_set, run_step3
 
 CONSTANTS = PaperConstants(scale=0.5)
 
@@ -244,3 +246,32 @@ class TestEmptyInputs:
         )
         assert report.found_pairs == set()
         assert report.total_searches == 0
+
+
+class TestFoundPairSet:
+    """The mask-based dedup is exactly the tuple set of the found rows."""
+
+    def test_empty(self):
+        assert found_pair_set([], 8) == set()
+        assert found_pair_set([np.empty((0, 2), dtype=np.int64)], 8) == set()
+
+    def test_many_duplicates(self):
+        found = np.tile(np.array([[3, 5], [0, 7], [3, 5]]), (500, 1))
+        result = found_pair_set([found[:700], found[700:]], 8)
+        assert result == {(3, 5), (0, 7)}
+        assert all(type(a) is int and type(b) is int for a, b in result)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        rows=st.integers(min_value=0, max_value=300),
+        splits=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    def test_matches_tuple_set(self, n, rows, splits, seed):
+        rng = np.random.default_rng(seed)
+        # A small pool of distinct pairs drawn many times over.
+        pool = rng.integers(0, n, size=(max(1, rows // 8), 2))
+        found = pool[rng.integers(0, pool.shape[0], size=rows)]
+        chunks = np.array_split(found, splits)
+        assert found_pair_set(chunks, n) == set(map(tuple, found.tolist()))

@@ -244,6 +244,132 @@ class TestCorruptionBounds:
         assert abs(total - expected) <= 5.0 * sigma, (total, expected, sigma)
 
 
+class _RecordingGenerator(np.random.Generator):
+    """A plain generator's stream that records every draw's method and
+    output, so a test can replay the batch generator's consumption."""
+
+    def __init__(self, bit_generator, log):
+        super().__init__(bit_generator)
+        self._log = log
+
+    def random(self, *args, **kwargs):
+        out = super().random(*args, **kwargs)
+        self._log.append(("random", np.atleast_1d(out).copy()))
+        return out
+
+    def integers(self, *args, **kwargs):
+        out = super().integers(*args, **kwargs)
+        self._log.append(("integers", np.atleast_1d(out).copy()))
+        return out
+
+
+class TestZeroSolutionSkip:
+    """v2 never draws for zero-solution searches, yet charges as before.
+
+    Every lane mixes zero- and one-solution searches (one more lane has
+    only zero-solution searches), so no lane can finish early.  The test
+    replays the recorded batch-generator log against a reference model of
+    one repetition: corruption flags for every active lane, one measurement
+    variate per pending search *with a solution* of every non-corrupted
+    lane, one slot per hit (slot 0 is the single real solution).
+    """
+
+    SCHEDULE = [1, 1, 2, 1, 1, 2, 1, 2]
+    #: Per lane: the (search, item) solutions of a 3-search, 10-item table.
+    SOLUTIONS = [
+        [(1, 1), (2, 5)],
+        [(0, 2)],
+        [(0, 0), (1, 3)],
+        [(2, 9)],
+        [],
+    ]
+
+    def lanes(self):
+        lanes = []
+        for index, solutions in enumerate(self.SOLUTIONS):
+            table = np.zeros((3, 10), dtype=bool)
+            for search, item in solutions:
+                table[search, item] = True
+            lanes.append((f"lane{index}", 10, table))
+        return lanes
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("beta", [None, 2.0])
+    def test_draws_cover_pending_nonzero_searches(self, seed, beta):
+        lanes = self.lanes()
+        seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(lanes))
+        log = []
+        recording = _RecordingGenerator(
+            np.random.default_rng(seeds).bit_generator, log
+        )
+        batched = run_contract(
+            lanes, contract="v2", seed=seed, beta=beta, batch_rng=recording
+        )
+        reports = batched.run(self.SCHEDULE)
+
+        pending = [
+            {search for search in range(3) if table[search].any()}
+            for _key, _items, table in lanes
+        ]
+        # With finite β every δ is positive, so no lane can freeze and every
+        # lane draws a corruption flag each repetition; with β = None there
+        # is no corruption and lanes with nothing left to find are frozen.
+        # A measured repetition draws exactly one variate per entry of
+        # ``batch`` — possibly none.
+        if beta is not None:
+            assert all(lane.delta.min() > 0 for lane in batched._lanes)
+        entries = iter(log)
+        measured_per_rep = []
+        for rep in range(len(self.SCHEDULE)):
+            if beta is None:
+                measured = [index for index in range(len(lanes)) if pending[index]]
+            else:
+                method, flags = next(entries)
+                assert method == "random" and flags.size == len(lanes)
+                measured = [
+                    index for index in range(len(lanes))
+                    if flags[index] >= batched._lanes[index].delta[rep]
+                ]
+            batch = [(index, s) for index in measured for s in sorted(pending[index])]
+            measured_per_rep.append(len(batch))
+            if not measured:
+                continue
+            method, draws = next(entries)
+            assert method == "random"
+            assert draws.size == len(batch), (rep, draws.size, len(batch))
+            hits = []
+            for (index, search), draw in zip(batch, draws):
+                lane = batched._lanes[index]
+                angle = (2 * lane.iters[rep] + 1) * lane.theta[search]
+                if draw < np.sin(angle) ** 2:
+                    hits.append((index, search))
+            if hits:
+                method, slots = next(entries)
+                assert method == "integers" and slots.size == len(hits)
+                for (index, search), slot in zip(hits, slots):
+                    if slot == 0:
+                        pending[index].discard(search)
+        assert next(entries, None) is None
+        assert measured_per_rep[0] > 0
+
+        v1 = run_contract(lanes, contract="v1", seed=seed, beta=beta).run(
+            self.SCHEDULE
+        )
+        for index, (key, _items, table) in enumerate(lanes):
+            report = reports[key]
+            unfound = {
+                search for search in range(3)
+                if report.found[search] < 0 and table[search].any()
+            }
+            assert unfound == pending[index]
+            # A zero-solution search keeps its lane to the full schedule,
+            # charged exactly as v1 charges it.
+            assert report.repetitions == len(self.SCHEDULE)
+            assert report.rounds == v1[key].rounds
+            assert report.oracle_calls == v1[key].oracle_calls
+            assert report.repetitions == v1[key].repetitions
+
+
 def run_step3_once(n, seed, contract):
     network, partitions, assignment, node_pairs = build_env(n, seed, CONSTANTS)
     generator = np.random.default_rng(seed + 77)
