@@ -23,7 +23,9 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import platform
 import subprocess
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -76,24 +78,54 @@ def write_result(name: str, text: str) -> None:
     print(f"\n{text}\n[written to {path}]")
 
 
-def current_commit() -> str:
-    """Short hash of HEAD, or "unknown" outside a git checkout."""
+def _git(*args: str) -> Optional[str]:
+    """Standard output of a git command in this checkout, or ``None``
+    outside a git checkout."""
     try:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=pathlib.Path(__file__).parent,
             capture_output=True, text=True, timeout=10, check=True,
-        ).stdout.strip()
-    except Exception:
-        return "unknown"
+        ).stdout
+    except (OSError, subprocess.SubprocessError):
+        return None
+
+
+def current_commit() -> str:
+    """Short hash of HEAD, or "unknown" outside a git checkout."""
+    return (_git("rev-parse", "--short", "HEAD") or "").strip() or "unknown"
+
+
+def provenance() -> dict:
+    """Where a result row came from.
+
+    ``commit`` is HEAD; ``dirty`` says whether the checkout had uncommitted
+    changes outside ``benchmarks/results/`` (the files a results run
+    rewrites itself), so a row measured on a modified tree never passes
+    for its commit's (omitted outside a git checkout); ``host`` is the
+    fingerprint that makes timings comparable: cores, python, numpy.
+    """
+    stamp: dict = {
+        "commit": current_commit(),
+        "host": {
+            "cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+    }
+    status = _git("status", "--porcelain", "--", ":/", ":(top,exclude)benchmarks/results")
+    if status is not None:
+        stamp["dirty"] = bool(status.strip())
+    return stamp
 
 
 def write_metrics(experiment: str, records: list[dict]) -> None:
     """Persist machine-readable metrics as ``results/<experiment>.json``.
 
     Each record carries the cross-PR diffable schema — ``experiment``,
-    ``n``, ``wall_seconds``, ``rounds``, ``commit`` — plus any extra keys
-    the experiment finds useful; ``tools/bench_summary.py`` rolls every
+    ``n``, ``wall_seconds``, ``rounds``, and the :func:`provenance` stamp
+    (``commit``, ``dirty``, ``host``) — plus any extra keys the experiment
+    finds useful; ``tools/bench_summary.py`` rolls every
     such file into ``BENCH_SUMMARY.json`` for trajectory diffs.
 
     When the ambient telemetry collector is live (the autouse
@@ -107,7 +139,7 @@ def write_metrics(experiment: str, records: list[dict]) -> None:
     if not writing_results():
         return
     RESULTS_DIR.mkdir(exist_ok=True)
-    commit = current_commit()
+    stamp = provenance()
     breakdown = None
     collector = telemetry.active()
     if collector is not None:
@@ -118,7 +150,7 @@ def write_metrics(experiment: str, records: list[dict]) -> None:
             "n": record.get("n"),
             "wall_seconds": record.get("wall_seconds"),
             "rounds": record.get("rounds"),
-            "commit": commit,
+            **stamp,
             **({"phase_breakdown": breakdown} if breakdown is not None else {}),
             **{
                 key: value

@@ -30,7 +30,6 @@ class GroverFreeFindEdges(QuantumFindEdges):
         rng: RngLike = None,
         amplification: float = 12.0,
         max_retries: int = 5,
-        rng_contract: str = "v2",
     ) -> None:
         super().__init__(
             constants=constants,
@@ -38,5 +37,4 @@ class GroverFreeFindEdges(QuantumFindEdges):
             search_mode="classical",
             amplification=amplification,
             max_retries=max_retries,
-            rng_contract=rng_contract,
         )

@@ -60,16 +60,12 @@ def _save_graph(graph, path: str) -> None:
     graph_io.save_graph(graph, path)
 
 
-def _make_backend(name: str, scale: float, seed: int, rng_contract: str = "v2"):
+def _make_backend(name: str, scale: float, seed: int):
     constants = repro.PaperConstants(scale=scale)
     if name == "quantum":
-        return repro.QuantumFindEdges(
-            constants=constants, rng=seed, rng_contract=rng_contract
-        )
+        return repro.QuantumFindEdges(constants=constants, rng=seed)
     if name == "classical":
-        return repro.GroverFreeFindEdges(
-            constants=constants, rng=seed, rng_contract=rng_contract
-        )
+        return repro.GroverFreeFindEdges(constants=constants, rng=seed)
     if name == "dolev":
         return repro.DolevFindEdges(rng=seed)
     if name == "reference":
@@ -86,7 +82,7 @@ def _cmd_apsp(args: argparse.Namespace) -> int:
         graph = repro.random_digraph_no_negative_cycle(
             args.n, density=args.density, max_weight=args.max_weight, rng=args.seed
         )
-    backend = _make_backend(args.backend, args.scale, args.seed, args.rng_contract)
+    backend = _make_backend(args.backend, args.scale, args.seed)
     report = repro.QuantumAPSP(backend=backend).solve(graph)
     truth = repro.floyd_warshall(graph)
     exact = np.array_equal(report.distances, truth)
@@ -111,7 +107,7 @@ def _cmd_find_edges(args: argparse.Namespace) -> int:
             args.n, density=args.density, max_weight=args.max_weight, rng=args.seed
         )
     instance = repro.FindEdgesInstance(graph)
-    backend = _make_backend(args.backend, args.scale, args.seed, args.rng_contract)
+    backend = _make_backend(args.backend, args.scale, args.seed)
     solution = backend.find_edges(instance)
     truth = instance.reference_solution()
     print(
@@ -337,10 +333,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     with _maybe_collect(args) as collector:
         engine = QueryEngine(
             solver=args.solver,
-            options=SolveOptions(
-                scale=args.scale, seed=args.seed,
-                rng_contract=args.rng_contract,
-            ),
+            options=SolveOptions(scale=args.scale, seed=args.seed),
             store=_make_store(args),
             fallback=args.fallback or (),
             retry_policy=_retry_policy(args),
@@ -411,10 +404,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         engine = JobEngine(
             store=_make_store(args),
             solver=args.solver,
-            options=SolveOptions(
-                scale=args.scale, seed=args.seed,
-                rng_contract=args.rng_contract,
-            ),
+            options=SolveOptions(scale=args.scale, seed=args.seed),
             retry_policy=_retry_policy(args),
             timeout_s=args.timeout,
         )
@@ -511,13 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=0.5,
                 help="constants scale knob (1.0 = the paper's constants)",
             )
-            p.add_argument(
-                "--rng-contract",
-                choices=["v1", "v2"],
-                default="v2",
-                help="RNG consumption contract (v2 = batched draws, "
-                "v1 = sequential reference streams)",
-            )
 
     p_apsp = sub.add_parser("apsp", help="solve all-pairs shortest paths")
     add_common(p_apsp)
@@ -554,12 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--scale", type=float, default=0.5)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--rng-contract",
-            choices=["v1", "v2"],
-            default="v2",
-            help="RNG consumption contract for contract-aware solvers",
-        )
         p.add_argument("--cache-dir", help="persist closures as .npz under this dir")
         p.add_argument(
             "--shards", type=int, default=1, metavar="N",

@@ -455,7 +455,6 @@ def _run_class_loops(
     from repro.quantum.amplitude import max_iterations
     from repro.quantum.batched import BatchedMultiSearch
     from repro.util.mathutil import guarded_log
-    from repro.util.rng import spawn_rng
 
     n = partitions.num_vertices
     beta = constants.eval_beta(n, alpha)
@@ -526,21 +525,26 @@ def _run_class_loops(
     )
     schedule = generator.integers(0, cap + 1, size=repetitions).tolist()
 
-    # The reference driver *is* the v1 consumption contract: per-label
-    # spawn_rng children, consumed lane by lane, byte-identical streams.
-    batched = BatchedMultiSearch(
-        beta=beta, eval_rounds=eval_r, amplification=amplification,
-        rng_contract="v1",
-    )
+    # One seed per label, drawn one scalar at a time — the stream position
+    # the array driver's batched seed-column draw reproduces — and the
+    # collected column seeds the class's batch generator.
+    lane_tables: dict[tuple[int, int, int], tuple[int, np.ndarray]] = {}
     lane_pairs: dict[tuple[int, int, int], np.ndarray] = {}
+    seeds: list[int] = []
     for label, blocks in domains.items():
         pairs, _weights, witness_table = node_pairs[label]
         if len(pairs) == 0:
             continue
         columns = np.array(blocks, dtype=np.int64)
-        sub_table = witness_table[:, columns]
-        batched.add(label, len(blocks), sub_table, rng=spawn_rng(generator))
+        lane_tables[label] = (len(blocks), witness_table[:, columns])
         lane_pairs[label] = pairs
+        seeds.append(int(generator.integers(0, 2**63 - 1)))
+    batched = BatchedMultiSearch(
+        batch_rng=np.array(seeds, dtype=np.int64),
+        beta=beta, eval_rounds=eval_r, amplification=amplification,
+    )
+    for label, (num_items, sub_table) in lane_tables.items():
+        batched.add(label, num_items, sub_table)
 
     phase_rounds = 0.0
     for label, result in batched.run(schedule).items():

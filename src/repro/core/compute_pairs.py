@@ -44,26 +44,26 @@ from repro.util.rng import RngLike, ensure_rng, spawn_rng
 #: gather temporary (chunk × √n entries) stays cache-resident.
 _WITNESS_CHUNK = 32768
 
-#: Cell budget of one batched Step-2 uniform draw under RNG contract v2 —
-#: chunks are whole-segment-aligned concatenations of the per-segment draws,
-#: so the variates (and hence the samples) stay byte-identical to v1.
+#: Cell budget of one batched Step-2 uniform draw — chunks are
+#: whole-segment-aligned concatenations of the per-segment draws, so the
+#: variates (and hence the samples) are those of one call per segment.
 _STEP2_DRAW_CELLS = 1 << 22
 
 
 class _BatchedUniforms:
-    """Segment-aligned batched uniform draws (RNG contract v2).
+    """Segment-aligned batched uniform draws.
 
     Step 2's per-segment draw sizes are a deterministic function of the
     partition (``num_fine · |P(bu, bv)|``), so the whole uniform stream can
     be drawn ahead in large chunks instead of one generator call per
     segment.  ``Generator.random`` fills its output from the bit stream
     sequentially, so a chunk covering segments ``i..j`` yields exactly the
-    concatenation of the per-segment draws — the *variates* are identical
-    to v1, only the call count changes.  On a mid-segment abort the
-    already-drawn tail is discarded with the attempt (each retry spawns a
-    fresh child generator), and in the non-abort path the stream position
-    after Step 2 is identical to v1's, so downstream consumers are
-    unaffected.
+    concatenation of the per-segment draws — the *variates* are those of
+    the per-segment loop (:func:`repro.core._reference.step2_sample_loops`),
+    only the call count changes.  On a mid-segment abort the already-drawn
+    tail is discarded with the attempt (each retry spawns a fresh child
+    generator), and in the non-abort path the stream position after Step 2
+    is the per-segment loop's, so downstream consumers are unaffected.
     """
 
     def __init__(self, rng: np.random.Generator, sizes: np.ndarray) -> None:
@@ -102,7 +102,6 @@ def compute_pairs(
     max_retries: int = 5,
     amplification: float = 12.0,
     attach_payloads: bool = False,
-    rng_contract: str = "v2",
     workers: int = 1,
 ) -> FindEdgesSolution:
     """Solve FindEdgesWithPromise with Algorithm ComputePairs.
@@ -112,21 +111,12 @@ def compute_pairs(
     :class:`ConvergenceError` if every attempt aborts (probability
     ``O(n^{-max_retries})`` under the paper's parameters).
 
-    ``rng_contract`` selects the RNG consumption contract (see
-    :mod:`repro.quantum.batched`): ``"v2"`` (default) batches the Step-2
-    segment draws and the Step-3 cross-lane repetition draws; ``"v1"`` is
-    the sequential-reference consumption, byte-identical to
-    :mod:`repro.core._reference`.  Step 2's *variates* are identical under
-    both contracts; Step 3's are identically distributed.
-
     ``workers`` > 1 dispatches the independent per-class Step-3 searches to
     a shared-memory worker pool (``None`` → cpu-derived default; see
     :mod:`repro.parallel`).  One pool persists across retry attempts.  The
     output — rounds, ledger, found pairs — is byte-identical at any worker
     count, because every RNG draw stays in the parent.
     """
-    if rng_contract not in ("v1", "v2"):
-        raise ValueError(f"unknown rng_contract {rng_contract!r}")
     generator = ensure_rng(rng)
     aborts = 0
     dispatcher = None
@@ -139,7 +129,6 @@ def compute_pairs(
             "compute_pairs",
             n=instance.num_vertices,
             search_mode=search_mode,
-            rng_contract=rng_contract,
         ) as outer:
             for _ in range(max_retries):
                 try:
@@ -150,7 +139,6 @@ def compute_pairs(
                         search_mode=search_mode,
                         amplification=amplification,
                         attach_payloads=attach_payloads,
-                        rng_contract=rng_contract,
                         dispatcher=dispatcher,
                     )
                 except ProtocolAbortedError:
@@ -176,7 +164,6 @@ def _compute_pairs_once(
     search_mode: str,
     amplification: float,
     attach_payloads: bool = False,
-    rng_contract: str = "v2",
     dispatcher=None,
 ) -> FindEdgesSolution:
     n = instance.num_vertices
@@ -212,8 +199,7 @@ def _compute_pairs_once(
 
     with telemetry.span("compute_pairs.step2_sample", n=n):
         node_pairs, coverage = _step2_sample(
-            network, partitions, instance, constants, rng, two_hop_for,
-            rng_contract=rng_contract,
+            network, partitions, instance, constants, rng, two_hop_for
         )
 
     with telemetry.span("compute_pairs.step3_identify", n=n):
@@ -231,12 +217,10 @@ def _compute_pairs_once(
             rng=rng,
             search_mode=search_mode,
             amplification=amplification,
-            rng_contract=rng_contract,
             dispatcher=dispatcher,
         )
 
     details = {
-        "rng_contract": rng_contract,
         "coverage": coverage,
         "num_search_nodes": len(node_pairs),
         "total_kept_pairs": int(sum(len(p) for p, _, _ in node_pairs.values())),
@@ -345,8 +329,6 @@ def _step2_sample(
     constants: PaperConstants,
     rng: np.random.Generator,
     two_hop_for,
-    *,
-    rng_contract: str = "v2",
 ):
     """Step 2 as one segmented pass: sample every ``Λx(u, v)``, enforce
     well-balancedness, and load the pair weights / scope membership of the
@@ -371,11 +353,11 @@ def _step2_sample(
     pairs, and ``coverage`` is the fraction of in-scope pairs covered by at
     least one ``Λx`` set (Lemma 2 (ii) says it is 1 w.h.p.).
 
-    Under ``rng_contract="v2"`` the per-segment uniforms come from
-    :class:`_BatchedUniforms` — a few large generator calls instead of one
-    per segment — with byte-identical variates, samples, and post-Step-2
-    stream position (the per-segment sizes are pure block-size arithmetic,
-    so the draw plan is known ahead of the segment loop).
+    The per-segment uniforms come from :class:`_BatchedUniforms` — a few
+    large generator calls instead of one per segment — with byte-identical
+    variates, samples, and post-Step-2 stream position (the per-segment
+    sizes are pure block-size arithmetic, so the draw plan is known ahead
+    of the segment loop).
     """
     n = instance.num_vertices
     rate = constants.lambda_rate(n)
@@ -409,17 +391,13 @@ def _step2_sample(
     # draw covers the flat ``F·|P|`` cell grid — the row-major (F, |P|)
     # block the loop form drew, so the uniforms are identical — and every
     # stage below handles all ``√n`` search nodes of the segment at once
-    # on arrays that are still cache-hot from the draw.  v1 issues one
-    # generator call per segment; v2 slices the same variates out of a few
-    # whole-segment-aligned batched calls.
-    if rng_contract == "v2":
-        seg_sizes = sizes.astype(np.int64)
-        seg_counts = seg_sizes[:, None] * seg_sizes[None, :]
-        np.fill_diagonal(seg_counts, seg_sizes * (seg_sizes - 1) // 2)
-        seg_cells = seg_counts.ravel() * num_fine
-        draw = _BatchedUniforms(rng, seg_cells[seg_cells > 0]).take
-    else:
-        draw = rng.random
+    # on arrays that are still cache-hot from the draw.  The variates are
+    # sliced out of a few whole-segment-aligned batched calls.
+    seg_sizes = sizes.astype(np.int64)
+    seg_counts = seg_sizes[:, None] * seg_sizes[None, :]
+    np.fill_diagonal(seg_counts, seg_sizes * (seg_sizes - 1) // 2)
+    seg_cells = seg_counts.ravel() * num_fine
+    draw = _BatchedUniforms(rng, seg_cells[seg_cells > 0]).take
     for bu in range(num_coarse):
         for bv in range(num_coarse):
             pairs = partitions.block_pairs(bu, bv)

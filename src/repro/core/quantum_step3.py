@@ -25,9 +25,8 @@ arithmetic, end to end:
   ``ProductLabels.positions_of``), with loads reduced by ``np.bincount``;
 * the per-node searches register in bulk:
   :meth:`repro.quantum.batched.BatchedMultiSearch.add_lanes` consumes a
-  padded 3-D witness-table stack (built in cache-sized chunks) and one
-  batched seed column, with per-lane RNG streams spawned in the identical
-  order, so measurements stay byte-identical.
+  padded 3-D witness-table stack (built in cache-sized chunks), and one
+  batched seed column seeds the class's batch generator.
 
 The per-label dict forms survive in :mod:`repro.core._reference`
 (``run_step3_loops`` and friends) and ``tests/test_step3_equivalence.py``
@@ -178,7 +177,6 @@ def run_step3(
     rng=None,
     search_mode: str = "quantum",
     amplification: float = 12.0,
-    rng_contract: str = "v2",
     dispatcher=None,
 ) -> Step3Report:
     """Execute Step 3 and return the union of detected pairs.
@@ -193,19 +191,14 @@ def run_step3(
     latter is the ablation baseline quantifying exactly where the quantum
     speedup enters.
 
-    ``rng_contract`` picks the RNG consumption contract of the batched
-    searches (see :mod:`repro.quantum.batched`): ``"v2"`` (the default)
-    advances all lanes of a class off one batch generator seeded from the
-    per-lane seed column; ``"v1"`` consumes per-lane streams byte-identical
-    to the sequential :mod:`repro.core._reference` driver.  The driver
-    generator's own stream (schedule and seed-column draws) is identical
-    under both contracts, so the class schedules — and with them the round
-    charges — do not depend on the contract.
+    Each class's searches advance off one batch generator seeded from a
+    per-lane seed column (see :mod:`repro.quantum.batched`); the schedule
+    and the seed column are both drawn from ``rng``.
 
     ``dispatcher`` (a :class:`repro.parallel.ClassDispatcher`) farms the
     per-class batched searches to worker processes through a shared-memory
-    arena.  The work unit is the whole class (the v2 contract runs one batch
-    stream per class), all RNG state is drawn here in the parent in the
+    arena.  The work unit is the whole class (each class runs one batch
+    stream), all RNG state is drawn here in the parent in the
     sequential order, and per-phase charges land in class order — so rounds,
     ledgers, and found pairs are byte-identical to the in-process path at
     any worker count.  An inline (non-parallel) dispatcher, ``None``, or
@@ -213,8 +206,6 @@ def run_step3(
     """
     if search_mode not in ("quantum", "classical"):
         raise ValueError(f"unknown search_mode {search_mode!r}")
-    if rng_contract not in ("v1", "v2"):
-        raise ValueError(f"unknown rng_contract {rng_contract!r}")
     generator = ensure_rng(rng)
     report = Step3Report()
     arrays = _SearchArrays.build(network, node_pairs)
@@ -229,7 +220,7 @@ def run_step3(
         _run_step3_dispatched(
             network, partitions, constants, assignment, node_pairs,
             arrays, triples, all_alphas, report, generator,
-            amplification, rng_contract, dispatcher,
+            amplification, dispatcher,
         )
         return report
     for alpha in all_alphas:
@@ -247,7 +238,6 @@ def run_step3(
                 generator,
                 search_mode,
                 amplification,
-                rng_contract,
             )
     return report
 
@@ -432,13 +422,12 @@ def _register_lanes_from_columns(
     blocks: np.ndarray,
     pairs: np.ndarray,
     witness: np.ndarray,
-    seeds: np.ndarray,
 ) -> list[np.ndarray]:
     """Worker-side twin of :func:`register_class_lanes` over arena columns.
 
-    Chunking (``_chunk_stop``), stack fill, and seed-column slicing are
-    identical to the in-process path; lane keys are ordinals because only
-    registration order matters to the caller.
+    Chunking (``_chunk_stop``) and stack fill are identical to the
+    in-process path; lane keys are ordinals because only registration
+    order matters to the caller.
     """
     block_offsets = np.concatenate(([0], np.cumsum(items)))
     pair_offsets = np.concatenate(([0], np.cumsum(searches)))
@@ -458,8 +447,7 @@ def _register_lanes_from_columns(
             stack[lane, : table.shape[0], : lane_blocks.size] = table[:, lane_blocks]
             lane_pairs.append(pairs[pair_offsets[ix]:pair_offsets[ix + 1]])
         batched.add_lanes(
-            list(range(start, stop)), chunk_items, chunk_searches, stack,
-            seeds=seeds[start:stop],
+            list(range(start, stop)), chunk_items, chunk_searches, stack
         )
         start = stop
     return lane_pairs
@@ -477,20 +465,17 @@ def _step3_class_task(arena, spec: dict) -> dict:
     prefix = f"step3.a{alpha}."
     items = arena[prefix + "items"]
     searches = arena[prefix + "searches"]
-    seeds = np.array(arena[prefix + "seeds"], copy=True)
     with telemetry.span("step3.class", alpha=alpha, mode="quantum"):
         batched = BatchedMultiSearch(
+            batch_rng=np.array(arena[prefix + "seeds"], copy=True),
             beta=spec["beta"],
             eval_rounds=spec["eval_rounds"],
             amplification=spec["amplification"],
-            rng_contract=spec["rng_contract"],
         )
-        if spec["rng_contract"] == "v2":
-            batched.batch_rng = seeds
         lane_pairs = _register_lanes_from_columns(
             batched, items, searches,
             arena[prefix + "blocks"], arena[prefix + "pairs"],
-            arena[prefix + "witness"], seeds,
+            arena[prefix + "witness"],
         )
         phase_rounds = 0.0
         total_searches = 0
@@ -532,7 +517,6 @@ def _run_step3_dispatched(
     report: Step3Report,
     generator,
     amplification: float,
-    rng_contract: str,
     dispatcher,
 ) -> None:
     """Farm the per-class searches to the dispatcher's worker pool.
@@ -581,7 +565,6 @@ def _run_step3_dispatched(
                     "beta": float(beta),
                     "eval_rounds": float(eval_r),
                     "amplification": float(amplification),
-                    "rng_contract": rng_contract,
                     "schedule": schedule,
                 }
             )
@@ -627,7 +610,6 @@ def _run_class(
     generator,
     search_mode: str,
     amplification: float,
-    rng_contract: str = "v2",
 ) -> None:
     prelude = _class_prelude(
         network, partitions, constants, assignment, arrays, triples,
@@ -654,27 +636,22 @@ def _run_class(
     schedule = generator.integers(0, cap + 1, size=repetitions).tolist()
 
     # One batched run for the whole class: every search node is a lane of
-    # the same lockstep schedule.  Lane seeds are one batched draw — the
-    # exact values sequential per-label spawn_rng calls would have produced
-    # — so the driver stream is contract-independent.  Under v1 each lane
-    # consumes its seed's private stream (measurements byte-identical to the
-    # reference); under v2 the seed column seeds the class's one batch
-    # generator.  The padded witness-table stacks are built in cache-sized
-    # chunks and registered through add_lanes either way.
-    batched = BatchedMultiSearch(
-        beta=beta, eval_rounds=eval_r, amplification=amplification,
-        rng_contract=rng_contract,
-    )
+    # the same lockstep schedule, and the lane seed column (one batched
+    # draw, one seed per lane) seeds the class's batch generator.  The
+    # padded witness-table stacks are built in cache-sized chunks and
+    # registered through add_lanes.
     lane_indices = np.nonzero(in_domain & (arrays.num_pairs > 0))[0]
-    lane_pairs: list[np.ndarray] = []
+    seeds = np.empty(0, dtype=np.int64)
     if lane_indices.size:
         seeds = generator.integers(0, 2**63 - 1, size=lane_indices.size)
-        if rng_contract == "v2":
-            batched.batch_rng = seeds
-        lane_pairs = register_class_lanes(
-            batched, arrays, node_pairs, (counts, offsets, flat_blocks),
-            lane_indices, seeds,
-        )
+    batched = BatchedMultiSearch(
+        batch_rng=seeds, beta=beta, eval_rounds=eval_r,
+        amplification=amplification,
+    )
+    lane_pairs = register_class_lanes(
+        batched, arrays, node_pairs, (counts, offsets, flat_blocks),
+        lane_indices,
+    )
 
     phase_rounds = 0.0
     found_chunks: list[np.ndarray] = []
@@ -701,15 +678,13 @@ def register_class_lanes(
     node_pairs: NodePairs,
     domain_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     lane_indices: np.ndarray,
-    seeds: np.ndarray,
 ) -> list[np.ndarray]:
     """Register the class's search lanes in bulk, chunk by chunk.
 
     Each chunk's padded ``(lanes, max_m, max_X)`` witness-table stack stays
     within the ``_LANE_CHUNK_CELLS`` budget (cache-resident instead of one
     class-wide block) and goes through
-    :meth:`~repro.quantum.batched.BatchedMultiSearch.add_lanes` with its
-    slice of the batched seed column.  Returns each lane's kept-pair array,
+    :meth:`~repro.quantum.batched.BatchedMultiSearch.add_lanes`.  Returns each lane's kept-pair array,
     aligned with registration order (exposed for e15's lane-setup timing).
     """
     counts, offsets, flat_blocks = domain_csr
@@ -734,9 +709,7 @@ def register_class_lanes(
             table = node_pairs[label][2]
             stack[lane, : table.shape[0], : blocks.size] = table[:, blocks]
             lane_pairs.append(node_pairs[label][0])
-        batched.add_lanes(
-            chunk_keys, items, searches, stack, seeds=seeds[start:stop]
-        )
+        batched.add_lanes(chunk_keys, items, searches, stack)
         start = stop
     return lane_pairs
 

@@ -3,9 +3,9 @@
 A :class:`ClassDispatcher` owns one ``ProcessPoolExecutor`` for the lifetime
 of a solve (or a sweep) and farms *whole* independent work units to it:
 per-class ``BatchedMultiSearch`` runs inside one solve, per-graph solves
-inside a sweep.  The work unit is deliberately the whole class — the v2 RNG
-contract draws one batch stream per class, so splitting a class across
-workers would change the stream.  All RNG state is drawn in the parent in
+inside a sweep.  The work unit is deliberately the whole class — Step 3
+draws one batch stream per class, so splitting a class across workers
+would change the stream.  All RNG state is drawn in the parent in
 sequential order and shipped through the arena, which keeps dispatched runs
 byte-identical to the in-process path at any worker count.
 

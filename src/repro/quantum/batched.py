@@ -8,20 +8,16 @@ procedure), so the natural execution unit is the whole class:
 :class:`BatchedMultiSearch` advances every node's BBHT counters
 simultaneously, one repetition of the shared schedule at a time.
 
-The batching is an execution reorganization, not a semantic change — it is
-*exactly equivalent*, per node, to constructing a :class:`MultiSearch` and
-calling :meth:`~repro.quantum.multisearch.MultiSearch.run` with the shared
-schedule (property-tested in ``tests/test_quantum_batched.py``):
-
-* each lane keeps its own generator and consumes it in the same order and
-  with the same call shapes as the sequential run, so every measurement,
-  corruption flag, and early stop lands identically;
-* the per-repetition work that does *not* touch a generator is hoisted out
-  of the loop and vectorized — success probabilities for all (search,
-  repetition) pairs in one trigonometric pass over the CSR solution counts,
-  Lemma 5 fidelity deltas and cumulative round/oracle charges per lane up
-  front — which is where the speedup comes from: the sequential version
-  recomputed all of it per node per repetition.
+The batching is an execution reorganization of the same protocol: each lane
+runs exactly what :meth:`~repro.quantum.multisearch.MultiSearch.run` runs
+for that node on the shared schedule — the same measurement probabilities,
+corruption bounds, early stop and charges.  The per-repetition work that
+does *not* draw randomness is hoisted out of the loop and vectorized —
+success probabilities for all (search, repetition) pairs in one
+trigonometric pass over the CSR solution counts, Lemma 5 fidelity deltas
+and cumulative round/oracle charges per lane up front — which is where the
+speedup comes from: the sequential version recomputes all of it per node
+per repetition.
 
 Lanes are registered either one at a time (:meth:`BatchedMultiSearch.add`,
 which delegates the CSR layout and the Theorem 3 typicality truncation to
@@ -29,46 +25,37 @@ which delegates the CSR layout and the Theorem 3 typicality truncation to
 padded 3-D witness-table stack whose per-lane windows become CSR slices of
 one ``np.nonzero`` pass, with no per-lane :class:`MultiSearch` (and hence no
 per-search Python array list) constructed at all.  Lane state is held
-directly on the :class:`_Lane` — effective CSR columns, typicality report,
-and a lazily materialized generator — and both registration paths produce
-bit-identical runs.
+directly on the :class:`_Lane` — effective CSR columns and typicality
+report — and both registration paths produce bit-identical runs.
 
-What remains in the lockstep loop is the irreducible randomness, and *how*
-it is consumed is governed by a versioned **RNG consumption contract**:
+What remains in the lockstep loop is the irreducible randomness.  One
+*batch generator* per class — seeded from the per-lane seed column the
+Step-3 driver draws — serves every lane: per repetition it draws the
+corruption flags for all active lanes in one call, the measurement
+variates for every pending search *with at least one solution* of every
+non-corrupted lane in one flat call, and the measurement slots for all
+hits in one call.  Zero-solution searches are never drawn: their outcome
+is deterministic (a measurement can only land on the padding slot, which
+verification discards), so they only keep their lane pending — with the
+same drop-out, early-stop, freeze and charge behaviour as if they had been
+measured.
 
-``rng_contract="v1"`` (the byte-identity contract, default here)
-    Each lane consumes its private generator in the same order and with the
-    same call shapes as the sequential :meth:`MultiSearch.run`, so every
-    measurement, corruption flag, and early stop lands identically — the
-    strongest possible equivalence, at the cost of a per-lane Python loop
-    inside every repetition.
-
-``rng_contract="v2"`` (the batched contract)
-    One *batch generator* — seeded from the same per-lane seed column v1
-    would have handed out — serves the whole class: per repetition it draws
-    the corruption flags for all active lanes in one call, the measurement
-    variates for every pending search *with at least one solution* of every
-    non-corrupted lane in one flat call, and the measurement slots for all
-    hits in one call.  Zero-solution searches are never drawn: their
-    outcome is deterministic (a measurement can only land on the padding
-    slot, which verification discards), so they only keep their lane
-    pending — with the same drop-out, early-stop, freeze and charge
-    behaviour as if they had been measured.  Stream identity with v1 is
-    deliberately broken; what is preserved (and property-tested in
-    ``tests/test_rng_contract_v2.py``) is the distributional contract of
-    Lemma 5 — per-search marginals, found-pair validity, corruption-rate
-    bounds — plus the exact round/oracle charge identities, which depend
-    only on the shared schedule.
+The sequential reference is :meth:`MultiSearch.run`, one lane at a time on
+a private generator.  The batched run consumes randomness in a different
+order, so it matches that reference in distribution rather than draw for
+draw: per-search marginals, found-value validity and corruption rates
+(property-tested against it, e.g. in ``tests/test_quantum_batched.py``),
+plus the exact round/oracle charge of every executed repetition, which
+depends only on the shared schedule.
 
 Lanes drop out of the active set as they finish (every search found, or the
-repetition budget exhausted) under both contracts, mirroring the per-node
-early stop.
+repetition budget exhausted), mirroring the per-node early stop.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -83,10 +70,7 @@ from repro.quantum.multisearch import (
     untruncated_typicality,
 )
 from repro import telemetry
-from repro.util.rng import RngLike, materialize_rng
-
-#: The versioned RNG consumption contracts (see the module docstring).
-RNG_CONTRACTS = ("v1", "v2")
+from repro.util.rng import SeedLike, materialize_rng
 
 
 class _Lane:
@@ -94,15 +78,13 @@ class _Lane:
 
     Holds the effective (typicality-truncated) CSR directly — solutions of
     search ``ℓ`` are ``eff_flat[eff_offsets[ℓ] : eff_offsets[ℓ + 1]]`` — so
-    bulk registration never constructs a :class:`MultiSearch`.  The
-    generator may be stored as a bare seed and materializes on first use
-    (frozen lanes never touch theirs).
+    bulk registration never constructs a :class:`MultiSearch`.
     """
 
     __slots__ = (
         "key", "num_items", "num_searches", "eval_rounds", "beta",
-        "eff_offsets", "eff_flat", "typicality", "_rng",
-        "pending", "found", "theta", "counts", "padded",
+        "eff_offsets", "eff_flat", "typicality",
+        "found", "theta", "counts",
         "iters", "delta", "rounds_cum", "oracle_cum", "live", "can_freeze",
         "last_rep", "corrupted", "fidelity_max",
     )
@@ -118,7 +100,6 @@ class _Lane:
         eff_offsets: np.ndarray,
         eff_flat: np.ndarray,
         typicality: TypicalityReport,
-        rng,
     ) -> None:
         self.key = key
         self.num_items = int(num_items)
@@ -129,20 +110,11 @@ class _Lane:
         self.eff_offsets = eff_offsets
         self.eff_flat = eff_flat
         self.typicality = typicality
-        self._rng = rng
-        self.pending = np.arange(self.num_searches, dtype=np.int64)
         self.found = np.full(self.num_searches, -1, dtype=np.int64)
-        self.padded = eff_counts + 1
         self.live = int(np.count_nonzero(eff_counts))
         self.last_rep = -1
         self.corrupted = 0
         self.fidelity_max = 0.0
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if not isinstance(self._rng, np.random.Generator):
-            self._rng = materialize_rng(self._rng)
-        return self._rng
 
     def prepare(self, schedule: np.ndarray) -> None:
         """Precompute everything the shared schedule determines.
@@ -206,44 +178,33 @@ class BatchedMultiSearch:
     ``amplification`` are shared by the whole class); lanes are added with
     :meth:`add` (one label at a time) or :meth:`add_lanes` (a padded stack)
     in the same order the sequential implementation would have constructed
-    them, each with its own generator (or seed).
-
-    ``rng_contract`` selects the consumption contract (module docstring):
-    ``"v1"`` runs each lane on its private generator, byte-identical to the
-    sequential reference; ``"v2"`` runs all lanes off one batch generator,
-    cross-lane vectorized.  Under v2 the per-lane generators are never
-    touched; the batch generator materializes from ``batch_rng`` (a
+    them.  ``batch_rng`` seeds the class's one batch generator: a
     generator, an integer seed, or — the canonical Step-3 use — the whole
-    per-lane seed column) at run time.
+    per-lane seed column.  It materializes at run time, so the decision to
+    count its draws follows whatever telemetry collector is installed then.
 
     Scale-out contract: one ``BatchedMultiSearch`` is the smallest unit the
-    :mod:`repro.parallel` dispatcher may move to another process.  Both
-    contracts tie every lane of a class to shared per-class RNG state (the
-    v2 batch generator makes at most three calls per repetition across
-    *all* lanes), so splitting a class's lanes across workers would change
-    the streams; dispatching whole classes — with ``tables``, ``seeds``,
-    and ``batch_rng`` read zero-copy from shared-memory arena columns
-    (read-only views are fine; every input is either copied into the CSR or
-    only read) — keeps measurements byte-identical at any worker count.
+    :mod:`repro.parallel` dispatcher may move to another process.  Every
+    lane of a class draws from the shared batch generator (at most three
+    calls per repetition across *all* lanes), so splitting a class's lanes
+    across workers would change the stream; dispatching whole classes —
+    with ``tables`` and ``batch_rng`` read zero-copy from shared-memory
+    arena columns (read-only views are fine; every input is either copied
+    into the CSR or only read) — keeps measurements byte-identical at any
+    worker count.
     """
 
     def __init__(
         self,
         *,
+        batch_rng: Union[np.random.Generator, SeedLike],
         beta: Optional[float] = None,
         eval_rounds: float = 1.0,
         amplification: float = 12.0,
-        rng_contract: str = "v1",
-        batch_rng=None,
     ) -> None:
-        if rng_contract not in RNG_CONTRACTS:
-            raise QuantumSimulationError(
-                f"unknown rng_contract {rng_contract!r}; expected one of {RNG_CONTRACTS}"
-            )
         self.beta = beta
         self.eval_rounds = float(eval_rounds)
         self.amplification = float(amplification)
-        self.rng_contract = rng_contract
         self.batch_rng = batch_rng
         self._lanes: list[_Lane] = []
         self._keys: set[Hashable] = set()
@@ -256,11 +217,9 @@ class BatchedMultiSearch:
         key: Hashable,
         num_items: int,
         marked_table: np.ndarray,
-        *,
-        rng: RngLike = None,
     ) -> None:
-        """Register one search node (its domain size, truth table of marked
-        blocks per search, and private generator) under ``key``.
+        """Register one search node (its domain size and truth table of
+        marked blocks per search) under ``key``.
 
         Construction delegates to :class:`MultiSearch`, so the CSR layout
         and the Theorem 3 typicality truncation are the sequential ones by
@@ -275,7 +234,6 @@ class BatchedMultiSearch:
             beta=self.beta,
             eval_rounds=self.eval_rounds,
             amplification=self.amplification,
-            rng=rng,
         )
         self._lanes.append(
             _Lane(
@@ -288,7 +246,6 @@ class BatchedMultiSearch:
                 search._eff_offsets,
                 search._eff_flat,
                 search.typicality,
-                search.rng,
             )
         )
 
@@ -298,19 +255,12 @@ class BatchedMultiSearch:
         num_items: np.ndarray,
         num_searches: np.ndarray,
         tables: np.ndarray,
-        *,
-        seeds: np.ndarray,
     ) -> None:
         """Register many lanes at once from a padded witness-table stack.
 
         ``tables`` is a boolean ``(len(keys), max_m, max_X)`` stack; lane
         ``i`` reads the window ``tables[i, :num_searches[i], :num_items[i]]``
         and everything outside a lane's window must be ``False``.
-        ``seeds[i]`` is the integer seed ``spawn_rng`` would have produced
-        for that lane, so drawing the whole seed column in one batched
-        parent call keeps the parent stream byte-identical to sequential
-        per-lane ``add(..., rng=spawn_rng(parent))`` calls; per-lane
-        generators materialize lazily on first use.
 
         The stack's CSR (rows sorted by lane, then search, then item) comes
         from a single ``np.nonzero`` pass, and each typical lane's effective
@@ -325,14 +275,12 @@ class BatchedMultiSearch:
         num_items = np.asarray(num_items, dtype=np.int64)
         num_searches = np.asarray(num_searches, dtype=np.int64)
         tables = np.asarray(tables, dtype=bool)
-        seeds = np.asarray(seeds)
         num_lanes = len(keys)
         if (
             tables.ndim != 3
             or tables.shape[0] != num_lanes
             or num_items.shape != (num_lanes,)
             or num_searches.shape != (num_lanes,)
-            or seeds.shape != (num_lanes,)
         ):
             raise QuantumSimulationError("misaligned bulk-lane arrays")
         if num_lanes == 0:
@@ -376,13 +324,12 @@ class BatchedMultiSearch:
                     beta=self.beta,
                     eval_rounds=self.eval_rounds,
                     amplification=self.amplification,
-                    rng=int(seeds[index]),
                 )
                 self._lanes.append(
                     _Lane(
                         key, items, m, self.eval_rounds, self.beta,
                         search._eff_counts, search._eff_offsets,
-                        search._eff_flat, search.typicality, search.rng,
+                        search._eff_flat, search.typicality,
                     )
                 )
                 continue
@@ -395,7 +342,6 @@ class BatchedMultiSearch:
                 _Lane(
                     key, items, m, self.eval_rounds, self.beta,
                     eff_counts, eff_offsets, eff_flat, typicality,
-                    int(seeds[index]),
                 )
             )
 
@@ -407,20 +353,16 @@ class BatchedMultiSearch:
     ) -> dict[Hashable, MultiSearchReport]:
         """Advance every lane through the shared iteration schedule.
 
-        Under ``rng_contract="v1"`` the returned ``{key: report}`` mapping
-        is identical to ``MultiSearch.run(schedule=schedule)`` per lane on
-        the same inputs and generators; under ``"v2"`` it is identically
-        distributed, with the same round/oracle charges for the same
-        schedule.
+        Returns ``{key: report}``; each report is distributed like
+        ``MultiSearch(...).run(schedule=schedule)`` on the same lane, with
+        the same round/oracle charge for the same number of executed
+        repetitions.
         """
         with telemetry.span(
             "quantum.batched_run",
             lanes=len(self._lanes),
             repetitions=len(schedule),
-            rng_contract=self.rng_contract,
         ):
-            if self.rng_contract == "v2":
-                return self._run_v2(schedule, early_stop=early_stop)
             return self._run(schedule, early_stop=early_stop)
 
     def _run(
@@ -429,77 +371,7 @@ class BatchedMultiSearch:
         *,
         early_stop: bool,
     ) -> dict[Hashable, MultiSearchReport]:
-        repetitions = len(schedule)
-        schedule_column = np.asarray(schedule, dtype=np.int64)
-        active: list[_Lane] = []
-        for lane in self._lanes:
-            lane.prepare(schedule_column)
-            if repetitions and lane.can_freeze and lane.live == 0:
-                # No search can ever be found and no repetition can ever be
-                # corrupted: the lane's whole evolution is deterministic, so
-                # it charges the full schedule without touching its
-                # generator (which nothing else observes).
-                lane.last_rep = repetitions - 1
-            else:
-                active.append(lane)
-
-        typical = self.beta is not None
-        for rep in range(repetitions):
-            if not active:
-                break
-            still: list[_Lane] = []
-            for lane in active:
-                lane.last_rep = rep  # this repetition's charge is incurred
-                rng = lane.rng
-                if typical:
-                    delta = lane.delta[rep]
-                    if delta > lane.fidelity_max:
-                        lane.fidelity_max = delta
-                    if rng.random() < delta:
-                        # Corrupted repetition: verification discards it.
-                        lane.corrupted += 1
-                        still.append(lane)
-                        continue
-                pending = lane.pending
-                if not pending.size:
-                    # All found before a corrupted tail repetition — the
-                    # sequential loop charges this repetition, then stops.
-                    continue
-                draws = rng.random(pending.size)
-                iterations = lane.iters[rep]
-                probs = np.sin((2 * iterations + 1) * lane.theta[pending]) ** 2
-                hits = pending[draws < probs]
-                if hits.size:
-                    slots = rng.integers(0, lane.padded[hits])
-                    real = slots < lane.counts[hits]
-                    real_hits = hits[real]
-                    if real_hits.size:
-                        lane.found[real_hits] = lane.eff_flat[
-                            lane.eff_offsets[real_hits] + slots[real]
-                        ]
-                        pending = pending[lane.found[pending] < 0]
-                        lane.pending = pending
-                        lane.live -= int(real_hits.size)
-                if early_stop and not pending.size:
-                    continue  # lane finished at the end of this repetition
-                if lane.can_freeze and lane.live == 0 and pending.size:
-                    # Only zero-solution searches remain and corruption is
-                    # impossible: fast-forward to the end of the schedule.
-                    # (An *empty* pending set instead stops at the top of
-                    # the next repetition, charging exactly one more.)
-                    lane.last_rep = repetitions - 1
-                    continue
-                still.append(lane)
-            active = still
-        return {lane.key: lane.report() for lane in self._lanes}
-
-    def _run_v2(
-        self,
-        schedule: Sequence[int],
-        *,
-        early_stop: bool,
-    ) -> dict[Hashable, MultiSearchReport]:
-        """The batched contract: all lanes advance off one generator.
+        """The lockstep loop: all lanes advance off one batch generator.
 
         Per repetition at most three generator calls happen, regardless of
         lane count: corruption flags for the active lanes (lane order),
@@ -507,9 +379,9 @@ class BatchedMultiSearch:
         solution of every non-corrupted lane (flat ``(lane, search)``
         order), and measurement slots for the hits.  The control flow per
         lane — charge, corrupted skip, empty-pending drop-out, early stop,
-        deterministic fast-forward — is the same as :meth:`_run`, expressed
-        over flat cross-lane arrays instead of a per-lane inner loop;
-        zero-solution searches count as pending there but never enter the
+        deterministic fast-forward — is that of :meth:`MultiSearch.run`,
+        expressed over flat cross-lane arrays instead of a per-lane inner
+        loop; zero-solution searches count as pending but never enter the
         measurement batch.
         """
         repetitions = len(schedule)
@@ -642,8 +514,6 @@ class BatchedMultiSearch:
                 lane.found[local] = lane.eff_flat[
                     lane.eff_offsets[local] + slots[local]
                 ]
-            lane.pending = np.flatnonzero(lane.found < 0)
-            lane.live = int(live[index])
             lane.last_rep = int(last_rep[index])
             lane.corrupted = int(corrupted[index])
             lane.fidelity_max = float(fidelity_max[index])

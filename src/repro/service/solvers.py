@@ -52,10 +52,7 @@ class SolverCapabilities:
     ``distributed`` is True when the solve actually runs on the
     :class:`~repro.congest.network.CongestClique` simulator (message-
     accurate traffic, per-phase ledger) rather than as a centralized
-    computation;
-    ``rng_contracts`` lists the RNG consumption contracts the solver honors
-    (see :mod:`repro.quantum.batched`) — empty for solvers whose randomness
-    is not contract-versioned.
+    computation.
     """
 
     negative_weights: bool = True
@@ -63,7 +60,6 @@ class SolverCapabilities:
     rounds_accounted: bool = True
     distributed: bool = False
     description: str = ""
-    rng_contracts: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -74,16 +70,12 @@ class SolveOptions:
     ignored by centralized ones; ``seed`` seeds the solver's randomness;
     ``min_duration_s`` is a wall-clock floor per solve, used by the
     parallel-executor benchmarks and tests to make work placement
-    observable regardless of how fast the instance solves;
-    ``rng_contract`` selects the RNG consumption contract for solvers that
-    declare support (``capabilities.rng_contracts``) and is ignored by the
-    rest.
+    observable regardless of how fast the instance solves.
     """
 
     scale: float = 0.5
     seed: int = 0
     min_duration_s: float = 0.0
-    rng_contract: str = "v2"
 
 
 @dataclass
@@ -151,16 +143,13 @@ class PipelineSolver:
             report = QuantumAPSP(backend=backend).solve(graph)
             span.set("rounds", report.rounds)
         _hold_floor(started, self.options)
-        details = {"aborts": report.aborts}
-        if self.capabilities.rng_contracts:
-            details["rng_contract"] = self.options.rng_contract
         outcome = SolveOutcome(
             distances=report.distances,
             rounds=report.rounds,
             solver=self.name,
             squarings=report.squarings,
             find_edges_calls=report.find_edges_calls,
-            details=details,
+            details={"aborts": report.aborts},
         )
         _observe_solve(self.name, started, outcome)
         return outcome
@@ -344,13 +333,11 @@ def _quantum_factory(options: SolveOptions) -> Solver:
     return PipelineSolver(
         "quantum",
         lambda opts: QuantumFindEdges(
-            constants=PaperConstants(scale=opts.scale), rng=opts.seed,
-            rng_contract=opts.rng_contract,
+            constants=PaperConstants(scale=opts.scale), rng=opts.seed
         ),
         SolverCapabilities(
             distributed=True,
             description="Õ(n^{1/4})-round quantum pipeline (Theorem 1)",
-            rng_contracts=("v1", "v2"),
         ),
         options,
     )
@@ -360,13 +347,11 @@ def _classical_factory(options: SolveOptions) -> Solver:
     return PipelineSolver(
         "classical",
         lambda opts: GroverFreeFindEdges(
-            constants=PaperConstants(scale=opts.scale), rng=opts.seed,
-            rng_contract=opts.rng_contract,
+            constants=PaperConstants(scale=opts.scale), rng=opts.seed
         ),
         SolverCapabilities(
             distributed=True,
             description="Grover-free classical pipeline",
-            rng_contracts=("v1", "v2"),
         ),
         options,
     )

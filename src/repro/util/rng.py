@@ -75,10 +75,9 @@ def materialize_rng(value) -> np.random.Generator:
     actually materialized — under whatever collector is installed *then*.
 
     Besides scalars, ``value`` may be a whole integer seed column (any
-    sequence or array): the RNG-contract-v2 batch generator is seeded from
-    the per-lane seed column so the batched stream is a deterministic
-    function of exactly the entropy the sequential v1 lanes would have
-    received.
+    sequence or array): a Step-3 class's batch generator is seeded from
+    its per-lane seed column, so the batched stream is a deterministic
+    function of the entropy the driver drew for that class's lanes.
     """
     if isinstance(value, np.random.Generator):
         return value

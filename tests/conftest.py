@@ -18,8 +18,9 @@ from repro.core.constants import PaperConstants
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "rng_contract: RNG consumption-contract equivalence and statistical"
-        " suites (tests/test_rng_contract_v2.py)",
+        "rng_contract: the batched RNG consumption contract checked against"
+        " the sequential MultiSearch reference — statistical, charge and"
+        " draw-count suites (tests/test_rng_contract_v2.py)",
     )
     config.addinivalue_line(
         "markers",

@@ -86,15 +86,13 @@ class TestShmArena:
         dispatcher.shutdown()
 
 
-def _solve(n: int, seed: int, workers: int, rng_contract: str = "v2"):
+def _solve(n: int, seed: int, workers: int):
     graph = repro.random_undirected_graph(
         n, density=0.5, max_weight=7, rng=seed
     )
     instance = repro.FindEdgesInstance(graph)
     driver = np.random.default_rng(seed + 1000)
-    solution = compute_pairs(
-        instance, rng=driver, workers=workers, rng_contract=rng_contract
-    )
+    solution = compute_pairs(instance, rng=driver, workers=workers)
     # Stream-position probe: dispatched runs must consume the parent
     # generator identically, draw for draw.
     probe = driver.integers(0, 2**63 - 1, size=4).tolist()
@@ -110,15 +108,6 @@ class TestDispatchedComputePairs:
         assert dispatched.rounds == sequential.rounds
         assert dispatched.ledger.snapshot() == sequential.ledger.snapshot()
         assert dispatched.details == sequential.details
-        assert par_probe == seq_probe
-
-    def test_byte_identical_under_contract_v1(self):
-        sequential, seq_probe = _solve(16, seed=9, workers=1, rng_contract="v1")
-        dispatched, par_probe = _solve(
-            16, seed=9, workers=WORKERS, rng_contract="v1"
-        )
-        assert dispatched.pairs == sequential.pairs
-        assert dispatched.ledger.snapshot() == sequential.ledger.snapshot()
         assert par_probe == seq_probe
 
     def test_worker_telemetry_merges_into_parent(self):

@@ -1,33 +1,37 @@
-"""RNG consumption contract v2 ≡ v1 — the property-tested equivalence.
+"""The batched RNG consumption contract against the sequential reference.
 
-``rng_contract="v2"`` (the default since the batched-contract PR) draws all
-active lanes' corruption flags and measurement batches from **one** batch
-generator per class instead of walking per-lane generator streams, and
-batches Step 2's per-segment uniforms into large aligned chunks.  The
-variates are no longer byte-identical to the sequential reference (v1, kept
-in :mod:`repro.core._reference` and selectable everywhere), so correctness
-here is *property*-based, with fixed seeds throughout (every test is
-deterministic — a pass today is a pass forever):
+Step 3 draws all active lanes' corruption flags and measurement batches
+from **one** batch generator per class (:mod:`repro.quantum.batched`), and
+Step 2 draws its per-segment uniforms in large aligned chunks.  The
+sequential reference is :meth:`repro.quantum.multisearch.MultiSearch.run`,
+one lane at a time on the generator seeded from that lane's entry of the
+Step-3 seed column.  The variates are not byte-identical to it, so
+correctness here is *property*-based, with fixed seeds throughout (every
+test is deterministic — a pass today is a pass forever):
 
-* validity — everything v2 reports found is a true solution;
+* surface — there is one draw order: no entry point, solver option or CLI
+  flag selects a contract, and no lane carries its own generator;
+* validity — everything the batched run reports found is a true solution;
 * distributional equivalence — per-search measurement marginals, per-lane
-  round charges, and corruption counts match v1's empirical distributions
-  under two-sample χ² tests against committed α=0.001 critical values;
+  round charges, and corruption counts match the sequential reference's
+  empirical distributions under two-sample χ² tests against committed
+  α=0.001 critical values;
 * corruption frequency — within the Lemma-5 deviation-bound envelope
   (mean ``Σ δ_r``, 5σ Binomial slack);
 * charge identity — for the same schedule the round/ledger charges of a
-  full Step-3 (and full ComputePairs) run are identical under both
-  contracts whenever a class cannot finish early (every committed
-  simulation-regime table; see ``benchmarks/test_e1_apsp_rounds.py`` for
-  the one pinned exception);
-* committed-table regression — the v1 path regenerates every committed
-  E1/E11 round value exactly; v2 reproduces E11's unchanged;
-* telemetry — v2's batched draws land on the open span with exact
-  per-call/per-element counts, and a traced v2 solve is self-consistent.
+  full Step-3 (and full ComputePairs) run equal those of running every
+  lane through ``MultiSearch.run`` whenever some lane of each class runs
+  the whole schedule (every committed simulation-regime table);
+* committed-table regression — the production path regenerates every
+  committed E1/E11 round value exactly;
+* telemetry — the batched draws land on the open span with exact
+  per-call/per-element counts, at most three calls per repetition, and a
+  traced solve is self-consistent.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -40,8 +44,9 @@ from repro import telemetry
 from repro.core.constants import PaperConstants
 from repro.core.problems import FindEdgesInstance
 from repro.core.quantum_step3 import run_step3
-from repro.errors import QuantumSimulationError
-from repro.quantum.batched import RNG_CONTRACTS, BatchedMultiSearch
+from repro.quantum.amplitude import max_iterations
+from repro.quantum.batched import BatchedMultiSearch
+from repro.quantum.multisearch import MultiSearch, uniform_atypical_mass
 from repro.telemetry import report as telemetry_report
 
 from test_step3_equivalence import CONSTANTS, build_env
@@ -99,52 +104,125 @@ def make_lanes(structure_seed, *, num_lanes, max_items=6, max_searches=2,
     return lanes
 
 
-def run_contract(lanes, *, contract, seed, beta=None,
-                 eval_rounds=2.0, amplification=12.0, batch_rng=None):
-    """Run one batched multi-search exactly the way Step 3 does: one seed
-    column drawn from the driver generator; per-lane children under v1, the
-    whole column as the batch seed under v2."""
-    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(lanes))
-    if batch_rng is None and contract == "v2":
-        batch_rng = seeds
+def lane_seeds(seed, num_lanes):
+    """One seed column drawn from the driver generator, as Step 3 does."""
+    return np.random.default_rng(seed).integers(0, 2**63 - 1, size=num_lanes)
+
+
+def make_batched(lanes, *, seed, beta=None, eval_rounds=2.0,
+                 amplification=12.0, batch_rng=None):
+    """A batched multi-search set up the way Step 3 sets it up: the seed
+    column seeds the class's batch generator (unless ``batch_rng`` is
+    given)."""
     batched = BatchedMultiSearch(
+        batch_rng=lane_seeds(seed, len(lanes)) if batch_rng is None else batch_rng,
         beta=beta,
         eval_rounds=eval_rounds,
         amplification=amplification,
-        rng_contract=contract,
-        batch_rng=batch_rng,
     )
-    for (key, num_items, table), lane_seed in zip(lanes, seeds):
-        batched.add(key, num_items, table, rng=np.random.default_rng(int(lane_seed)))
+    for key, num_items, table in lanes:
+        batched.add(key, num_items, table)
     return batched
 
 
+def run_sequential(lanes, schedule, *, seed, beta=None, eval_rounds=2.0,
+                   amplification=12.0):
+    """The sequential reference: one ``MultiSearch.run`` per lane, lane
+    ``i`` on ``default_rng(seed column[i])``."""
+    reports = {}
+    for (key, num_items, table), lane_seed in zip(
+        lanes, lane_seeds(seed, len(lanes))
+    ):
+        reports[key] = MultiSearch(
+            num_items,
+            marked_table=table,
+            beta=beta,
+            eval_rounds=eval_rounds,
+            amplification=amplification,
+            rng=np.random.default_rng(int(lane_seed)),
+        ).run(schedule=schedule)
+    return reports
+
+
+RUNNERS = ("multisearch", "batched")
+
+
+def run_lanes(runner, lanes, schedule, *, seed, beta):
+    if runner == "multisearch":
+        return run_sequential(lanes, schedule, seed=seed, beta=beta)
+    return make_batched(lanes, seed=seed, beta=beta).run(schedule)
+
+
 class TestContractSurface:
-    def test_contract_registry(self):
-        assert RNG_CONTRACTS == ("v1", "v2")
+    """There is one draw order: no entry point takes a contract selector,
+    and no lane carries a generator of its own."""
 
-    def test_batched_rejects_unknown_contract(self):
-        with pytest.raises(QuantumSimulationError, match="rng_contract"):
-            BatchedMultiSearch(rng_contract="v3")
+    def test_batched_requires_batch_rng(self):
+        with pytest.raises(TypeError, match="batch_rng"):
+            BatchedMultiSearch()
 
-    def test_step3_rejects_unknown_contract(self):
-        with pytest.raises(ValueError, match="rng_contract"):
-            run_step3(None, None, None, None, None, rng=0, rng_contract="v0")
+    def test_batched_lanes_take_no_generator(self):
+        batched = BatchedMultiSearch(batch_rng=0)
+        table = np.array([[True, False]])
+        with pytest.raises(TypeError, match="rng"):
+            batched.add("lane", 2, table, rng=0)
+        with pytest.raises(TypeError, match="seeds"):
+            batched.add_lanes(
+                ["lane"], np.array([2]), np.array([1]), table[None], seeds=[0]
+            )
 
-    def test_compute_pairs_rejects_unknown_contract(self):
-        with pytest.raises(ValueError, match="rng_contract"):
-            repro.compute_pairs(None, constants=None, rng=0, rng_contract="v0")
+    def test_step3_takes_no_contract_option(self):
+        with pytest.raises(TypeError, match="rng_contract"):
+            run_step3(None, None, None, None, None, rng=0, rng_contract="v2")
+
+    def test_compute_pairs_takes_no_contract_option(self):
+        with pytest.raises(TypeError, match="rng_contract"):
+            repro.compute_pairs(None, constants=None, rng=0, rng_contract="v2")
+
+    def test_find_edges_backends_take_no_contract_option(self):
+        for backend in (repro.QuantumFindEdges, repro.GroverFreeFindEdges):
+            with pytest.raises(TypeError, match="rng_contract"):
+                backend(constants=CONSTANTS, rng=0, rng_contract="v2")
+
+    def test_solver_options_and_capabilities(self):
+        from repro.service.solvers import SolveOptions, SolverCapabilities
+
+        assert [f.name for f in dataclasses.fields(SolveOptions)] == [
+            "scale", "seed", "min_duration_s",
+        ]
+        assert "rng_contracts" not in {
+            f.name for f in dataclasses.fields(SolverCapabilities)
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apsp"],
+            ["find-edges"],
+            ["query", "--graph", "graph.npz"],
+            ["serve-batch"],
+        ],
+        ids=["apsp", "find-edges", "query", "serve-batch"],
+    )
+    def test_cli_rejects_contract_flag(self, argv, capsys):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        parser.parse_args(argv)
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--rng-contract", "v2"])
+        assert "--rng-contract" in capsys.readouterr().err
 
 
 class TestFoundValuesAreSolutions:
-    """v2 validity: every reported element really solves its search."""
+    """Validity: every reported element really solves its search."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("beta", [None, 3.0])
     @pytest.mark.parametrize("early_stop", [True, False])
     def test_found_values_solve_their_search(self, seed, beta, early_stop):
         lanes = make_lanes(11, num_lanes=4, max_items=8, solution_rate=0.4)
-        batched = run_contract(lanes, contract="v2", seed=seed, beta=beta)
+        batched = make_batched(lanes, seed=seed, beta=beta)
         reports = batched.run([1, 2, 0, 3, 2, 1, 2], early_stop=early_stop)
         for (key, num_items, table) in lanes:
             found = reports[key].found
@@ -155,7 +233,7 @@ class TestFoundValuesAreSolutions:
 
     def test_zero_solution_lanes_find_nothing(self):
         lanes = make_lanes(13, num_lanes=3, zero_solutions=True)
-        batched = run_contract(lanes, contract="v2", seed=0, beta=1.5)
+        batched = make_batched(lanes, seed=0, beta=1.5)
         reports = batched.run([1, 2, 1, 2])
         for key, _items, _table in lanes:
             assert (reports[key].found == -1).all()
@@ -165,12 +243,13 @@ class TestFoundValuesAreSolutions:
 
 class TestMeasurementMarginals:
     """Per-search found-element marginals and per-lane charge distributions
-    match v1 empirically (two-sample χ², N seeds per contract)."""
+    match the sequential reference's empirically (two-sample χ², N seeds
+    per runner)."""
 
     SCHEDULE = [1, 2, 0, 3, 1, 2, 1, 3]
     NUM_SEEDS = 240
 
-    def collect(self, contract, beta):
+    def collect(self, runner, beta):
         lanes = make_lanes(5, num_lanes=3, max_items=6, max_searches=2)
         # Per (lane, search): histogram over categories {-1, 0, .., items-1}.
         marginals = [
@@ -184,8 +263,7 @@ class TestMeasurementMarginals:
             np.zeros(len(self.SCHEDULE) + 1, dtype=np.int64) for _ in lanes
         ]
         for seed in range(self.NUM_SEEDS):
-            batched = run_contract(lanes, contract=contract, seed=seed, beta=beta)
-            reports = batched.run(self.SCHEDULE)
+            reports = run_lanes(runner, lanes, self.SCHEDULE, seed=seed, beta=beta)
             for index, (key, _items, _table) in enumerate(lanes):
                 report = reports[key]
                 for search, element in enumerate(report.found):
@@ -195,9 +273,9 @@ class TestMeasurementMarginals:
         return lanes, marginals, repetition_hist, corrupted_hist
 
     @pytest.mark.parametrize("beta", [None, 2.0])
-    def test_marginals_match_v1(self, beta):
-        lanes, m1, r1, c1 = self.collect("v1", beta)
-        _lanes, m2, r2, c2 = self.collect("v2", beta)
+    def test_marginals_match_multisearch(self, beta):
+        lanes, m1, r1, c1 = self.collect("multisearch", beta)
+        _lanes, m2, r2, c2 = self.collect("batched", beta)
         for index in range(len(lanes)):
             for search in range(m1[index].shape[0]):
                 assert_distributions_close(m1[index][search], m2[index][search])
@@ -213,29 +291,41 @@ class TestCorruptionBounds:
     NUM_SEEDS = 150
     BETA = 2.0
 
-    def totals(self, contract):
-        # Fixed shape chosen so every δ_r sits strictly inside (0, 1):
-        # 3 searches over 10 items at β=2 gives δ ∈ {0.18.., 0.36..}.
+    #: Fixed shape chosen so every δ_r sits strictly inside (0, 1):
+    #: 3 searches over 10 items at β=2 gives δ ∈ {0.18.., 0.36..}.
+    NUM_LANES, NUM_SEARCHES, NUM_ITEMS = 4, 3, 10
+
+    def deltas(self):
+        """δ per (lane, repetition): Lemma 5's per-repetition deviation
+        bound, ``min(1, 2k·√mass)`` — structural, identical every run."""
+        padded_items = self.NUM_ITEMS + 1
+        root = math.sqrt(
+            uniform_atypical_mass(padded_items, self.NUM_SEARCHES, self.BETA)
+        )
+        iterations = np.minimum(self.SCHEDULE, max_iterations(padded_items))
+        per_rep = np.minimum(1.0, 2.0 * iterations * root)
+        return np.tile(per_rep, (self.NUM_LANES, 1))
+
+    def total(self, runner):
         lanes = [
-            (f"lane{index}", 10, np.zeros((3, 10), dtype=bool))
-            for index in range(4)
+            (
+                f"lane{index}",
+                self.NUM_ITEMS,
+                np.zeros((self.NUM_SEARCHES, self.NUM_ITEMS), dtype=bool),
+            )
+            for index in range(self.NUM_LANES)
         ]
         total = 0
-        deltas = None
         for seed in range(self.NUM_SEEDS):
-            batched = run_contract(
-                lanes, contract=contract, seed=seed, beta=self.BETA
+            reports = run_lanes(
+                runner, lanes, self.SCHEDULE, seed=seed, beta=self.BETA
             )
-            reports = batched.run(self.SCHEDULE)
             total += sum(reports[key].corrupted_repetitions for key, _i, _t in lanes)
-            if deltas is None:
-                # δ per (lane, repetition) — structural, identical every run.
-                deltas = np.stack([lane.delta for lane in batched._lanes])
-        return total, deltas
+        return total
 
-    @pytest.mark.parametrize("contract", ["v1", "v2"])
-    def test_corruption_within_lemma5_envelope(self, contract):
-        total, deltas = self.totals(contract)
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_corruption_within_lemma5_envelope(self, runner):
+        total, deltas = self.total(runner), self.deltas()
         assert 0.0 < deltas.min() and deltas.max() < 1.0  # non-degenerate
         mean_per_run = float(deltas.sum())
         var_per_run = float((deltas * (1.0 - deltas)).sum())
@@ -264,7 +354,7 @@ class _RecordingGenerator(np.random.Generator):
 
 
 class TestZeroSolutionSkip:
-    """v2 never draws for zero-solution searches, yet charges as before.
+    """Zero-solution searches are never drawn, yet charge as before.
 
     Every lane mixes zero- and one-solution searches (one more lane has
     only zero-solution searches), so no lane can finish early.  The test
@@ -302,9 +392,7 @@ class TestZeroSolutionSkip:
         recording = _RecordingGenerator(
             np.random.default_rng(seeds).bit_generator, log
         )
-        batched = run_contract(
-            lanes, contract="v2", seed=seed, beta=beta, batch_rng=recording
-        )
+        batched = make_batched(lanes, seed=seed, beta=beta, batch_rng=recording)
         reports = batched.run(self.SCHEDULE)
 
         pending = [
@@ -352,9 +440,7 @@ class TestZeroSolutionSkip:
         assert next(entries, None) is None
         assert measured_per_rep[0] > 0
 
-        v1 = run_contract(lanes, contract="v1", seed=seed, beta=beta).run(
-            self.SCHEDULE
-        )
+        sequential = run_sequential(lanes, self.SCHEDULE, seed=seed, beta=beta)
         for index, (key, _items, table) in enumerate(lanes):
             report = reports[key]
             unfound = {
@@ -363,19 +449,44 @@ class TestZeroSolutionSkip:
             }
             assert unfound == pending[index]
             # A zero-solution search keeps its lane to the full schedule,
-            # charged exactly as v1 charges it.
+            # charged exactly as MultiSearch.run charges it.
             assert report.repetitions == len(self.SCHEDULE)
-            assert report.rounds == v1[key].rounds
-            assert report.oracle_calls == v1[key].oracle_calls
-            assert report.repetitions == v1[key].repetitions
+            assert report.rounds == sequential[key].rounds
+            assert report.oracle_calls == sequential[key].oracle_calls
+            assert report.repetitions == sequential[key].repetitions
 
 
-def run_step3_once(n, seed, contract):
+def run_lanes_sequentially(self, schedule, *, early_stop=True):
+    """Stand-in for :meth:`BatchedMultiSearch.run` in the charge-identity
+    tests: every lane runs through ``MultiSearch.run`` on the generator its
+    entry of the Step-3 seed column (``batch_rng``) seeds."""
+    reports = {}
+    for lane, lane_seed in zip(self._lanes, np.asarray(self.batch_rng)):
+        offsets = lane.eff_offsets
+        marked = [
+            lane.eff_flat[offsets[index]:offsets[index + 1]]
+            for index in range(lane.num_searches)
+        ]
+        # The effective (truncated) solution sets are typical by
+        # construction, so MultiSearch keeps them as they are.
+        report = MultiSearch(
+            lane.num_items,
+            marked,
+            beta=self.beta,
+            eval_rounds=self.eval_rounds,
+            amplification=self.amplification,
+            rng=np.random.default_rng(int(lane_seed)),
+        ).run(schedule=schedule, early_stop=early_stop)
+        reports[lane.key] = dataclasses.replace(report, typicality=lane.typicality)
+    return reports
+
+
+def run_step3_once(n, seed):
     network, partitions, assignment, node_pairs = build_env(n, seed, CONSTANTS)
     generator = np.random.default_rng(seed + 77)
     report = run_step3(
         network, partitions, CONSTANTS, assignment, node_pairs,
-        rng=generator, search_mode="quantum", rng_contract=contract,
+        rng=generator, search_mode="quantum",
     )
     return (
         report,
@@ -385,20 +496,29 @@ def run_step3_once(n, seed, contract):
     )
 
 
-class TestChargeIdentity:
-    """Same schedule ⇒ same round/ledger charges under both contracts.
-
-    The driver generator's stream (schedule + seed-column draws) is
-    contract-independent by construction; the *charges* additionally agree
-    whenever some lane of each class runs the whole schedule — true on all
-    these configs (and every committed simulation-regime table)."""
-
-    @pytest.mark.parametrize(
-        "n,seed", [(16, 0), (16, 1), (16, 2), (16, 3), (48, 0), (48, 1), (128, 0)]
+def solve_e11_instance():
+    graph = repro.random_undirected_graph(81, density=0.3, max_weight=6, rng=4)
+    return repro.compute_pairs(
+        FindEdgesInstance(graph), constants=CONSTANTS, rng=4
     )
-    def test_step3_charges_identical(self, n, seed):
-        report1, ledger1, driver1, network1 = run_step3_once(n, seed, "v1")
-        report2, ledger2, driver2, network2 = run_step3_once(n, seed, "v2")
+
+
+class TestChargeIdentity:
+    """Same schedule ⇒ same round/ledger charges as the sequential reference.
+
+    The driver generator's stream (schedule + seed-column draws) does not
+    depend on how the lanes consume their randomness; the *charges*
+    additionally agree whenever some lane of each class runs the whole
+    schedule — true on all these configs (and every committed
+    simulation-regime table)."""
+
+    CASES = [(16, 0), (16, 1), (16, 2), (16, 3), (48, 0), (48, 1), (128, 0)]
+
+    @pytest.mark.parametrize("n,seed", CASES)
+    def test_step3_charges_identical(self, n, seed, monkeypatch):
+        report1, ledger1, driver1, network1 = run_step3_once(n, seed)
+        monkeypatch.setattr(BatchedMultiSearch, "run", run_lanes_sequentially)
+        report2, ledger2, driver2, network2 = run_step3_once(n, seed)
         assert report1.eval_rounds_per_alpha == report2.eval_rounds_per_alpha
         assert report1.search_rounds_per_alpha == report2.search_rounds_per_alpha
         assert report1.duplication_per_alpha == report2.duplication_per_alpha
@@ -407,24 +527,12 @@ class TestChargeIdentity:
         assert np.array_equal(driver1, driver2)
         assert np.array_equal(network1, network2)
 
-    def test_compute_pairs_charges_identical(self):
-        outcomes = {}
-        for contract in RNG_CONTRACTS:
-            graph = repro.random_undirected_graph(
-                81, density=0.3, max_weight=6, rng=4
-            )
-            solution = repro.compute_pairs(
-                FindEdgesInstance(graph),
-                constants=CONSTANTS,
-                rng=4,
-                rng_contract=contract,
-            )
-            assert solution.details["rng_contract"] == contract
-            outcomes[contract] = solution
-        assert outcomes["v1"].rounds == outcomes["v2"].rounds
-        assert (
-            outcomes["v1"].ledger.snapshot() == outcomes["v2"].ledger.snapshot()
-        )
+    def test_compute_pairs_charges_identical(self, monkeypatch):
+        batched = solve_e11_instance()
+        monkeypatch.setattr(BatchedMultiSearch, "run", run_lanes_sequentially)
+        sequential = solve_e11_instance()
+        assert batched.rounds == sequential.rounds
+        assert batched.ledger.snapshot() == sequential.ledger.snapshot()
 
 
 def load_metrics(name):
@@ -432,28 +540,21 @@ def load_metrics(name):
 
 
 class TestCommittedTables:
-    """The committed benchmark round columns, regenerated in-process.
+    """The committed benchmark round columns, regenerated in-process by the
+    production path."""
 
-    v1 must reproduce them byte-for-byte (it *is* the pre-contract
-    consumption); v2 must leave the simulation-regime (E11) rounds
-    unchanged — the charge identity above, exercised end to end."""
-
-    def test_v1_regenerates_e1_rounds(self):
-        # Mirrors benchmarks/test_e1_apsp_rounds.py::run_quantum (pinned to
-        # v1 there — keep the two in sync).
+    def test_regenerates_e1_rounds(self):
+        # Mirrors benchmarks/test_e1_apsp_rounds.py::run_quantum.
         constants = PaperConstants(scale=0.5)
         for row in load_metrics("e1_apsp_rounds"):
             graph = repro.random_digraph_no_negative_cycle(
                 row["n"], density=0.5, max_weight=6, rng=7
             )
-            backend = repro.QuantumFindEdges(
-                constants=constants, rng=7, rng_contract="v1"
-            )
+            backend = repro.QuantumFindEdges(constants=constants, rng=7)
             report = repro.QuantumAPSP(backend=backend).solve(graph)
             assert report.rounds == row["rounds"], row
 
-    @pytest.mark.parametrize("contract", ["v1", "v2"])
-    def test_e11_rounds_contract_invariant(self, contract):
+    def test_regenerates_e11_rounds(self):
         # Mirrors benchmarks/test_e11_scale_sensitivity.py::run_at_scale.
         for row in load_metrics("e11_scale_sensitivity"):
             graph = repro.random_undirected_graph(
@@ -463,9 +564,8 @@ class TestCommittedTables:
                 FindEdgesInstance(graph),
                 constants=PaperConstants(scale=row["scale"]),
                 rng=4,
-                rng_contract=contract,
             )
-            assert solution.rounds == row["rounds"], (contract, row)
+            assert solution.rounds == row["rounds"], row
 
 
 class _LoggingGenerator(np.random.Generator):
@@ -499,17 +599,15 @@ class TestTelemetryAttribution:
         logging_rng = _LoggingGenerator(
             np.random.default_rng(seeds).bit_generator, log
         )
-        truth = run_contract(
-            lanes, contract="v2", seed=3, beta=2.0, batch_rng=logging_rng
+        truth = make_batched(
+            lanes, seed=3, beta=2.0, batch_rng=logging_rng
         ).run(self.SCHEDULE)
-        assert log, "v2 run drew nothing?"
+        assert log, "batched run drew nothing?"
 
         # Counted run: materialize_rng builds a CountingGenerator from the
         # seed column because a collector is installed.
         with telemetry.collect() as collector:
-            counted = run_contract(
-                lanes, contract="v2", seed=3, beta=2.0
-            ).run(self.SCHEDULE)
+            counted = make_batched(lanes, seed=3, beta=2.0).run(self.SCHEDULE)
             snapshot = collector.snapshot()
 
         # Counting is stream-identical: same reports as the ground truth.
@@ -523,7 +621,6 @@ class TestTelemetryAttribution:
         spans = [s for s in snapshot["spans"] if s["name"] == "quantum.batched_run"]
         assert len(spans) == 1
         span = spans[0]
-        assert span["attrs"]["rng_contract"] == "v2"
         assert span["rng_calls"] == len(log)
         assert span["rng_draws"] == sum(size for _method, size in log)
         # ≤ 3 batched calls per repetition: corruption, measurement, slots.
@@ -535,26 +632,35 @@ class TestTelemetryAttribution:
                 48, density=0.5, max_weight=7, rng=2
             )
             repro.compute_pairs(
-                FindEdgesInstance(graph), constants=CONSTANTS, rng=2,
-                rng_contract="v2",
+                FindEdgesInstance(graph), constants=CONSTANTS, rng=2
             )
             snapshot = collector.snapshot()
         assert telemetry_report.consistency_problems(snapshot) == []
         assert snapshot["rng"]["calls"] > 0
 
-    def test_v2_makes_fewer_generator_calls_than_v1(self):
-        totals = {}
-        for contract in RNG_CONTRACTS:
-            with telemetry.collect() as collector:
-                graph = repro.random_undirected_graph(
-                    81, density=0.3, max_weight=6, rng=4
-                )
-                repro.compute_pairs(
-                    FindEdgesInstance(graph),
-                    constants=PaperConstants(scale=0.05),
-                    rng=4,
-                    rng_contract=contract,
-                )
-                totals[contract] = collector.snapshot()["rng"]["calls"]
-        # Batching is the point: far fewer generator calls, same protocol.
-        assert totals["v2"] < totals["v1"] / 2, totals
+    def test_batch_generator_calls_per_repetition(self, monkeypatch):
+        # The contract's own claim: per executed repetition a class's batch
+        # generator makes at most three calls — corruption flags,
+        # measurement variates, measurement slots — whatever its lane count.
+        classes = []
+        batched_run = BatchedMultiSearch.run
+
+        def logged_run(self, schedule, **kwargs):
+            log = []
+            self.batch_rng = _LoggingGenerator(
+                np.random.default_rng(self.batch_rng).bit_generator, log
+            )
+            reports = batched_run(self, schedule, **kwargs)
+            executed = max(report.repetitions for report in reports.values())
+            classes.append((len(log), executed, len(self)))
+            return reports
+
+        monkeypatch.setattr(BatchedMultiSearch, "run", logged_run)
+        graph = repro.random_undirected_graph(81, density=0.3, max_weight=6, rng=4)
+        repro.compute_pairs(
+            FindEdgesInstance(graph), constants=PaperConstants(scale=0.05), rng=4
+        )
+        assert classes and all(lanes for _calls, _executed, lanes in classes)
+        assert max(lanes for _calls, _executed, lanes in classes) > 3
+        for calls, executed, lanes in classes:
+            assert 0 < calls <= 3 * executed, (calls, executed, lanes)

@@ -92,9 +92,6 @@ def run_both(n, seed, constants, search_mode, *, force_alpha=None):
         if force_alpha is not None:
             assignment = forced_class_assignment(assignment, force_alpha)
         generator = np.random.default_rng(seed + 77)
-        # Byte-identity to the reference loops is the v1 contract's claim;
-        # the loops *are* v1, so pin the array driver to it explicitly.
-        extra = {"rng_contract": "v1"} if driver is run_step3 else {}
         report = driver(
             network,
             partitions,
@@ -103,7 +100,6 @@ def run_both(n, seed, constants, search_mode, *, force_alpha=None):
             node_pairs,
             rng=generator,
             search_mode=search_mode,
-            **extra,
         )
         outcomes.append(
             {

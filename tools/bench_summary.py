@@ -20,7 +20,9 @@ Usage::
     python tools/bench_summary.py [--output BENCH_SUMMARY.json] [--check]
 
 ``--check`` validates instead of (only) writing: every record must carry a
-non-empty ``commit`` and a numeric ``wall_seconds``, experiment ids across
+non-empty ``commit`` and a numeric ``wall_seconds``, any ``dirty`` flag
+must be a boolean and any ``host`` fingerprint an object with numeric
+``cores`` and string ``python``/``numpy``, experiment ids across
 ``benchmarks/test_eN_*.py`` must be unique (two files once both claimed
 e12), any ``phase_breakdown`` column must match the ``repro.telemetry/v1``
 schema, and the committed summary's trajectory must already contain the
@@ -92,6 +94,26 @@ def breakdown_problems(where: str, breakdown) -> list[str]:
                 problems.append(
                     f"{where}: congest phase {phase!r} missing rounds/words"
                 )
+    return problems
+
+
+def provenance_problems(where: str, record: dict) -> list[str]:
+    """Type violations of one record's ``dirty`` / ``host`` stamp (rows
+    written before the stamp existed have neither, and pass)."""
+    problems = []
+    if "dirty" in record and not isinstance(record["dirty"], bool):
+        problems.append(f"{where}: 'dirty' is not a boolean")
+    if "host" in record:
+        host = record["host"]
+        if not (
+            isinstance(host, dict)
+            and _is_number(host.get("cores"))
+            and isinstance(host.get("python"), str)
+            and isinstance(host.get("numpy"), str)
+        ):
+            problems.append(
+                f"{where}: 'host' needs numeric cores and string python/numpy"
+            )
     return problems
 
 
@@ -292,6 +314,7 @@ def check(summary: dict, committed: dict | None = None) -> list[str]:
             wall = record.get("wall_seconds")
             if not isinstance(wall, (int, float)) or isinstance(wall, bool):
                 problems.append(f"{where}: missing wall_seconds")
+            problems.extend(provenance_problems(where, record))
             if "phase_breakdown" in record:
                 problems.extend(
                     breakdown_problems(where, record["phase_breakdown"])
