@@ -182,7 +182,7 @@ def test_e12_step2_scheme_scale(benchmark):
             "E12  zero-object hot paths at scale\n"
             "scheme registration (triple + 4x duplication): eager Node-per-"
             "label loop\nvs lazy array-backed views (0 Nodes up front); "
-            "Step-2 sampling: per-node\nloop form vs one segmented pass "
+            "Step-2 sampling: per-node\nloop form vs one sample-cube pass "
             f"(scale={SCALE}); identical round charges\nasserted per size"
         ),
     )
@@ -237,11 +237,11 @@ def test_e12_pr4_zero_object_speedup():
         f"eager {register['eager_wall']*1e3:.2f} ms -> lazy "
         f"{register['lazy_wall']*1e3:.3f} ms "
         f"({register_speedup:.0f}x, acceptance >= 3x), 0 Nodes materialized.",
-        "step2: one segmented pass over the coarse block pairs (all sqrt(n)",
-        "search nodes of a segment vectorized per stage, witness tables",
-        "gathered in cache-sized chunks) vs the per-node loop form;",
-        "byte-identical outputs and round charges property-tested at",
-        "n in {16, 48, 128} and asserted per e12 size.",
+        "step2: one pass over per-segment (F, |U|, |V|) sample cubes (the",
+        "per-pair work done once per block cell, the sqrt(n) search nodes",
+        "only gather from it) vs the per-node loop form; byte-identical",
+        "outputs and round charges property-tested at n in {16, ..., 200},",
+        "scales 0.05 and 0.5, and asserted per e12 size.",
         f"ComputePairs n=256 (quantum, scale={SCALE}): total "
         f"{total_wall:.2f} s, step2 {step2_cum:.2f} s "
         f"({100 * step2_cum / total_wall:.0f}%), step3 search "

@@ -2,7 +2,9 @@
 
 The offline reproduction environment lacks the ``wheel`` package, so PEP 660
 editable installs are unavailable; this shim lets ``pip install -e .`` fall
-back to ``setup.py develop``.  All metadata lives in ``pyproject.toml``.
+back to ``setup.py develop``.  All package metadata lives here; the test
+dependencies (``pytest``, ``pytest-benchmark``, ``hypothesis``) are listed
+in README's Install section.
 """
 
 from setuptools import find_packages, setup

@@ -23,7 +23,7 @@ fresh randomness a bounded number of times, mirroring the paper's
 
 from __future__ import annotations
 
-from typing import Optional
+import itertools
 
 import numpy as np
 
@@ -39,10 +39,6 @@ from repro.core.quantum_step3 import run_step3
 from repro.errors import ConvergenceError, ProtocolAbortedError
 from repro import telemetry
 from repro.util.rng import RngLike, ensure_rng, spawn_rng
-
-#: Rows per witness-table gather chunk in Step 2 — sized so the float
-#: gather temporary (chunk × √n entries) stays cache-resident.
-_WITNESS_CHUNK = 32768
 
 #: Cell budget of one batched Step-2 uniform draw — chunks are
 #: whole-segment-aligned concatenations of the per-segment draws, so the
@@ -322,6 +318,16 @@ def _step1_load(
     )
 
 
+def _cube_view(matrix: np.ndarray, rows_u: slice, rows_v: slice) -> np.ndarray:
+    """The ``(|U|, |V|)`` view of an ``n × n`` matrix over canonical (sorted)
+    pairs, in sample-cube orientation: pairs are stored smaller endpoint
+    first, so a segment whose ``U`` block lies after its ``V`` block reads
+    the transposed slice.  A view, so in-place updates write through."""
+    if rows_u.start > rows_v.start:
+        return matrix[rows_v, rows_u].T
+    return matrix[rows_u, rows_v]
+
+
 def _step2_sample(
     network: CongestClique,
     partitions: CliquePartitions,
@@ -330,23 +336,28 @@ def _step2_sample(
     rng: np.random.Generator,
     two_hop_for,
 ):
-    """Step 2 as one segmented pass: sample every ``Λx(u, v)``, enforce
-    well-balancedness, and load the pair weights / scope membership of the
-    sampled pairs — with no per-search-node Python loop.
+    """Step 2 as one pass over sample cubes: sample every ``Λx(u, v)``,
+    enforce well-balancedness, and load the pair weights / scope membership
+    of the sampled pairs — with no per-search-node Python loop.
 
     Every coarse block pair ``(bu, bv)`` with at least one pair in
-    ``P(u, v)`` is a *segment*; a single uniform draw covers the whole
-    ``(segment, x, pair)`` cell grid and consumes the generator stream
-    exactly as the per-segment ``(F, |P|)`` draws did (the loop form
-    survives as :func:`repro.core._reference.step2_sample_loops` and the
-    byte-identity — node pairs, weights, witness tables, coverage,
-    delivered batches, rounds, RNG stream — is property-tested in
-    ``tests/test_step2_equivalence.py``).  Per segment, balance checks
-    (Lemma 2 (i)) run as one bincount over ``(x, block-local vertex)``
-    keys, owner loads as one ``np.unique`` over ``(x, owner)`` keys,
-    eligibility/coverage as one mask, and the witness truth tables build in
-    one fancy-index — all ``√n`` search nodes of the segment at once, on
-    cache-sized arrays.
+    ``P(u, v)`` is a *segment*, held as a boolean sample cube of shape
+    ``(F, |U|, |V|)``: ``cube[x, i, j]`` says whether search node
+    ``(bu, bv, x)`` sampled the pair of ``U``-vertex ``i`` and ``V``-vertex
+    ``j``.  A cross segment's ``F·|U|·|V|`` uniforms reshape straight into
+    the cube; a diagonal segment's triu-ordered uniforms scatter into its
+    upper triangle — so the draw, and the row-major ``(x, i, j)`` sample
+    order, are exactly the per-node loop form's
+    (:func:`repro.core._reference.step2_sample_loops`; the byte-identity —
+    node pairs, weights, witness tables, coverage, delivered batches,
+    rounds, RNG stream, abort diagnostics — is property-tested in
+    ``tests/test_step2_equivalence.py``).
+
+    Balance (Lemma 2 (i)) and owner loads are per-vertex counts along the
+    cube's axes.  The per-pair work — eligibility, pair weight and the
+    witness truth row — is done once per block cell on ``(|U|, |V|)``
+    slices, not once per ``(x, pair)`` sample; the samples then only
+    gather from it.
 
     Returns ``(node_pairs, coverage)`` where ``node_pairs`` maps each search
     label to ``(pairs, weights, witness_table)`` for its kept (in-scope)
@@ -364,35 +375,27 @@ def _step2_sample(
     balance = constants.balance_bound(n)
     scope = instance.effective_scope()
     pair_weights = instance.effective_pair_graph().weights
-    coarse = partitions.coarse
     num_coarse = partitions.num_coarse
     num_fine = partitions.num_fine
 
-    # Scope membership and eligibility as boolean matrices (canonical pair
-    # positions), so sampled pairs filter with one fancy index instead of a
-    # per-row set lookup.
+    # Scope membership and eligibility as boolean matrices over canonical
+    # (sorted) pair positions; the scope's pair tuples flatten in one pass.
     scope_mask = np.zeros((n, n), dtype=bool)
     if scope:
-        scope_rows = np.fromiter((a for a, _ in scope), dtype=np.int64, count=len(scope))
-        scope_cols = np.fromiter((b for _, b in scope), dtype=np.int64, count=len(scope))
-        scope_mask[scope_rows, scope_cols] = True
+        flat = np.fromiter(
+            itertools.chain.from_iterable(scope), dtype=np.int64, count=2 * len(scope)
+        )
+        scope_mask[flat[0::2], flat[1::2]] = True
     eligible_mask = scope_mask & np.isfinite(pair_weights)
     covered_mask = np.zeros((n, n), dtype=bool)
 
-    starts = coarse.block_starts()
-    sizes = coarse.block_sizes()
-    max_block = coarse.max_block_size
+    starts = partitions.coarse.block_starts()
+    sizes = partitions.coarse.block_sizes()
     request_nodes: list[np.ndarray] = []
     request_owners: list[np.ndarray] = []
     request_counts: list[np.ndarray] = []
     node_pairs: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    # One pass over the coarse block pairs (the segments).  Per segment the
-    # draw covers the flat ``F·|P|`` cell grid — the row-major (F, |P|)
-    # block the loop form drew, so the uniforms are identical — and every
-    # stage below handles all ``√n`` search nodes of the segment at once
-    # on arrays that are still cache-hot from the draw.  The variates are
-    # sliced out of a few whole-segment-aligned batched calls.
     seg_sizes = sizes.astype(np.int64)
     seg_counts = seg_sizes[:, None] * seg_sizes[None, :]
     np.fill_diagonal(seg_counts, seg_sizes * (seg_sizes - 1) // 2)
@@ -400,90 +403,85 @@ def _step2_sample(
     draw = _BatchedUniforms(rng, seg_cells[seg_cells > 0]).take
     for bu in range(num_coarse):
         for bv in range(num_coarse):
-            pairs = partitions.block_pairs(bu, bv)
-            num_pairs = len(pairs)
+            num_pairs = int(seg_counts[bu, bv])
             if num_pairs == 0:
                 continue
             seg = bu * num_coarse + bv
-            uniforms = draw(num_fine * num_pairs)
-            # Row-major 2D nonzero yields (x, pair) coordinates directly —
-            # in the same per-node, pair-ascending order as the loop form,
-            # with no per-sample division.
-            x_of, j_of = np.nonzero((uniforms < rate).reshape(num_fine, num_pairs))
-            a = pairs[j_of, 0]
-            b = pairs[j_of, 1]
+            size_u, size_v = int(sizes[bu]), int(sizes[bv])
+            rows_u = slice(int(starts[bu]), int(starts[bu]) + size_u)
+            rows_v = slice(int(starts[bv]), int(starts[bv]) + size_v)
+            sampled = draw(num_fine * num_pairs) < rate
+            if bu == bv:
+                cube = np.zeros((num_fine, size_u, size_v), dtype=bool)
+                upper_i, upper_j = np.triu_indices(size_u, k=1)
+                cube[:, upper_i, upper_j] = sampled.reshape(num_fine, num_pairs)
+            else:
+                cube = sampled.reshape(num_fine, size_u, size_v)
 
-            # Well-balancedness (Lemma 2 (i)): count sampled pairs per
-            # (x, block-u vertex) in one bincount over all x of the segment;
-            # abort on the first violating x, exactly as the per-node loop did
-            # (segments are visited in its (bu, bv) order, so the first
-            # violating key here is the loop's first violating node).
-            start_u = int(starts[bu])
-            size_u = int(sizes[bu])
-            ends = np.concatenate([a, b])
-            end_x = np.concatenate([x_of, x_of])
-            in_u = (ends >= start_u) & (ends < start_u + size_u)
-            balance_keys = end_x[in_u] * max_block + (ends[in_u] - start_u)
-            if balance_keys.size:
-                per_vertex = np.bincount(balance_keys)
-                if int(per_vertex.max()) > balance:
-                    first_x = int(np.nonzero(per_vertex > balance)[0][0]) // max_block
-                    max_count = int(
-                        per_vertex[first_x * max_block : (first_x + 1) * max_block].max()
-                    )
-                    raise ProtocolAbortedError(
-                        "compute_pairs.step2",
-                        f"Λ_{first_x}({bu},{bv}) unbalanced: "
-                        f"{max_count} > {balance:.1f}",
-                    )
+            # Well-balancedness (Lemma 2 (i)): sampled pairs per U vertex —
+            # on a diagonal segment a vertex is also the larger endpoint of
+            # the pairs in its column.  Abort on the first violating x, as
+            # the per-node loop did.
+            per_row = np.count_nonzero(cube, axis=2)
+            per_u = (per_row + np.count_nonzero(cube, axis=1)) if bu == bv else per_row
+            per_x = per_u.max(axis=1)
+            if int(per_x.max()) > balance:
+                first_x = int(np.flatnonzero(per_x > balance)[0])
+                raise ProtocolAbortedError(
+                    "compute_pairs.step2",
+                    f"Λ_{first_x}({bu},{bv}) unbalanced: "
+                    f"{int(per_x[first_x])} > {balance:.1f}",
+                )
 
             # Owner loads: the request names each pair (1 word) at its owner
-            # (the pair's first endpoint), the reply carries weight plus
-            # membership (2 words).  A bincount over (x, owner) keys — the
-            # key space is only F·n — replaces the loop form's per-node
-            # np.unique sort; nonzero of the counts enumerates x-major then
-            # owner-ascending, exactly the concatenation the loop produced.
-            key_counts = np.bincount(x_of * n + a)
-            unique_keys = np.nonzero(key_counts)[0]
-            request_nodes.append(seg * num_fine + unique_keys // n)
-            request_owners.append(unique_keys % n)
-            request_counts.append(key_counts[unique_keys])
+            # (the smaller endpoint — the V vertex when bu > bv), the reply
+            # carries weight plus membership (2 words).  nonzero of the
+            # (x, owner) counts is x-major then owner-ascending, exactly the
+            # concatenation the loop produced.
+            if bu > bv:
+                per_owner, owner_start = np.count_nonzero(cube, axis=1), rows_v.start
+            else:
+                per_owner, owner_start = per_row, rows_u.start
+            owner_x, owner_local = np.nonzero(per_owner)
+            request_nodes.append(seg * num_fine + owner_x)
+            request_owners.append(owner_start + owner_local)
+            request_counts.append(per_owner[owner_x, owner_local])
 
-            # Eligibility, coverage, kept pairs, and the witness truth tables —
-            # one mask and one fancy-index for the whole segment.
-            # table[ℓ, w] = True iff fine block w contains a witness closing a
-            # negative triangle with pair ℓ: min_{w∈w}(f(a,w) + f(w,b)) < −f(a,b).
-            # Canonical pairs may have their first endpoint in either block; the
-            # two-hop tensor is symmetric in the pair (undirected weights), so a
-            # swapped pair indexes as [b_local, a_local].
-            elig = eligible_mask[a, b]
-            ka = a[elig]
-            kb = b[elig]
-            kx = x_of[elig]
-            covered_mask[ka, kb] = True
-            kept_pairs = np.stack([ka, kb], axis=1)
-            kept_weights = pair_weights[ka, kb]
-            tables = np.empty((int(ka.size), num_fine), dtype=bool)
-            if ka.size:
-                a_in_u = (ka >= start_u) & (ka < start_u + size_u)
-                start_v = int(starts[bv])
-                rows_local = np.where(a_in_u, ka - start_u, kb - start_u)
-                cols_local = np.where(a_in_u, kb - start_v, ka - start_v)
-                two_hop = two_hop_for(bu, bv)
-                # Gather in cache-sized chunks: the (rows, fine) float
-                # temporary stays resident instead of streaming RAM.
-                for chunk_lo in range(0, int(ka.size), _WITNESS_CHUNK):
-                    part = slice(chunk_lo, min(chunk_lo + _WITNESS_CHUNK, int(ka.size)))
-                    tables[part] = (
-                        two_hop[rows_local[part], cols_local[part], :]
-                        < -kept_weights[part, None]
-                    )
+            # Per-cell work, once per segment: eligibility, pair weight and
+            # coverage as (|U|, |V|) views in cube orientation.
+            weights = _cube_view(pair_weights, rows_u, rows_v)
+            kept = cube & _cube_view(eligible_mask, rows_u, rows_v)
+            covered = _cube_view(covered_mask, rows_u, rows_v)
+            covered |= kept.any(axis=0)
 
-            # Per-label views: slice the segment's kept arrays back into the
-            # node dict (Step 3's interface).  kx is non-decreasing (sample
-            # order), so each x owns one contiguous slice; labels whose Λx is
-            # empty or fully filtered get canonical empty views.
-            x_bounds = np.searchsorted(kx, np.arange(num_fine + 1))
+            # Per-sample work: gather the kept samples' pairs, weights and
+            # witness rows by cell index.  The flat sample index is x-major
+            # (sample order), so each x owns one contiguous slice.
+            # table[ℓ, w] = True iff fine block w contains a witness closing
+            # a negative triangle with pair ℓ: min_{w∈w}(f(a,w) + f(w,b)) <
+            # −f(a,b); the two-hop tensor is indexed [U vertex, V vertex],
+            # the cube's orientation.
+            num_cells = size_u * size_v
+            samples = np.flatnonzero(kept)
+            cells = samples % num_cells
+            x_bounds = np.searchsorted(samples, np.arange(num_fine + 1) * num_cells)
+            if samples.size:
+                cell_u = np.repeat(np.arange(rows_u.start, rows_u.stop), size_v)
+                cell_v = np.tile(np.arange(rows_v.start, rows_v.stop), size_u)
+                cell_pairs = np.stack(
+                    [cell_v, cell_u] if bu > bv else [cell_u, cell_v], axis=1
+                )
+                witness = two_hop_for(bu, bv) < -weights[..., None]
+                kept_pairs = np.take(cell_pairs, cells, axis=0)
+                kept_weights = np.take(weights.ravel(), cells)
+                tables = np.take(witness.reshape(num_cells, num_fine), cells, axis=0)
+            else:
+                kept_pairs = np.empty((0, 2), dtype=np.int64)
+                kept_weights = np.empty(0, dtype=pair_weights.dtype)
+                tables = np.empty((0, num_fine), dtype=bool)
+
+            # Per-label views; labels whose Λx is empty or fully filtered
+            # get canonical empty views.
             for x in range(num_fine):
                 x_lo, x_hi = int(x_bounds[x]), int(x_bounds[x + 1])
                 node_pairs[(bu, bv, x)] = (

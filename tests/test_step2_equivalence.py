@@ -35,8 +35,10 @@ from repro.core.constants import PaperConstants
 from repro.core.evaluation import block_two_hop
 from repro.core.problems import FindEdgesInstance
 from repro.errors import NetworkError, ProtocolAbortedError
+from repro.graphs.generators import tripartite_from_matrices
 
 SIZES = [16, 48, 128]
+SAMPLED_SIZES = [16, 30, 48, 81, 128, 200]
 
 
 def _recording_network(n: int) -> tuple[CongestClique, list]:
@@ -53,10 +55,30 @@ def _recording_network(n: int) -> tuple[CongestClique, list]:
     return network, delivered
 
 
-def _run_step2(step2, n: int, seed: int, constants: PaperConstants):
-    """Run one Step-2 implementation in a fresh, identically seeded world."""
-    graph = repro.random_undirected_graph(n, density=0.5, max_weight=7, rng=seed)
-    instance = FindEdgesInstance(graph)
+def _tripartite_instance(m: int, seed: int) -> FindEdgesInstance:
+    """A scoped FindEdges instance shaped like the distance-product calls:
+    the tripartite graph of random A, B, D (some infinite entries) with a
+    random subset of the ``(i, m + j)`` pairs in scope."""
+    rs = np.random.default_rng(seed)
+    a = rs.integers(-3, 6, (m, m)).astype(float)
+    b = rs.integers(-3, 6, (m, m)).astype(float)
+    a[rs.random((m, m)) < 0.3] = np.inf
+    d = rs.integers(-4, 8, (m, m)).astype(float)
+    scope = {
+        (i, m + j) for i in range(m) for j in range(m) if rs.random() < 0.7
+    }
+    return FindEdgesInstance(tripartite_from_matrices(a, b, d), scope=scope)
+
+
+def _run_step2(
+    step2, n: int, seed: int, constants: PaperConstants, instance=None, calls=None
+):
+    """Run one Step-2 implementation in a fresh, identically seeded world.
+
+    ``calls``, if given, records every ``two_hop_for`` request."""
+    if instance is None:
+        graph = repro.random_undirected_graph(n, density=0.5, max_weight=7, rng=seed)
+        instance = FindEdgesInstance(graph)
     partitions = CliquePartitions(n)
     network, delivered = _recording_network(n)
     network.register_scheme("triple", partitions.triple_labels())
@@ -66,6 +88,8 @@ def _run_step2(step2, n: int, seed: int, constants: PaperConstants):
     cache: dict = {}
 
     def two_hop_for(bu, bv):
+        if calls is not None:
+            calls.append((bu, bv))
         if (bu, bv) not in cache:
             cache[(bu, bv)] = block_two_hop(
                 witness,
@@ -89,13 +113,7 @@ def _run_step2(step2, n: int, seed: int, constants: PaperConstants):
     }
 
 
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("seed", [3, 11])
-def test_step2_segmented_equivalent_to_loops(n, seed):
-    constants = PaperConstants(scale=0.5)
-    segmented = _run_step2(_step2_sample, n, seed, constants)
-    loops = _run_step2(reference.step2_sample_loops, n, seed, constants)
-
+def _assert_identical(segmented: dict, loops: dict) -> None:
     # Same labels in the same dict order (Step 3's lane order depends on it).
     assert list(segmented["node_pairs"]) == list(loops["node_pairs"])
     for label, (pairs, weights, table) in loops["node_pairs"].items():
@@ -117,6 +135,76 @@ def test_step2_segmented_equivalent_to_loops(n, seed):
         assert np.array_equal(s_batch.src, l_batch.src)
         assert np.array_equal(s_batch.dst, l_batch.dst)
         assert np.array_equal(s_batch.size_words, l_batch.size_words)
+
+
+@pytest.mark.parametrize(
+    "n, scale", [(n, 0.5) for n in SIZES] + [(n, 0.05) for n in SAMPLED_SIZES]
+)
+@pytest.mark.parametrize("seed", [3, 11])
+def test_step2_segmented_equivalent_to_loops(n, scale, seed):
+    # At scale 0.5 the rate is 1 and every search node of a segment samples
+    # all its pairs; at scale 0.05 it is below 1, so they sample different
+    # pairs.  The sampled sizes include uneven coarse and fine blocks.
+    constants = PaperConstants(scale=scale)
+    _assert_identical(
+        _run_step2(_step2_sample, n, seed, constants),
+        _run_step2(reference.step2_sample_loops, n, seed, constants),
+    )
+
+
+@pytest.mark.parametrize("m", [10, 27, 48])
+@pytest.mark.parametrize("scale", [0.05, 0.5])
+def test_step2_equivalent_on_scoped_tripartite(m, scale):
+    # Scope pairs (i, m + j) live only in the I×J segments, and the
+    # segments with bu > bv hold their pairs transposed.
+    constants = PaperConstants(scale=scale)
+    _assert_identical(
+        _run_step2(_step2_sample, 3 * m, 7, constants, _tripartite_instance(m, 7)),
+        _run_step2(
+            reference.step2_sample_loops, 3 * m, 7, constants,
+            _tripartite_instance(m, 7),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "n, balance_factor, first_violation",
+    [
+        (30, 20.0, "Λ_0(1,0)"),
+        (48, 14.5, "Λ_1(0,0)"),
+        (81, 17.5, "Λ_1(1,0)"),
+        (200, 17.5, "Λ_4(2,0)"),
+    ],
+)
+def test_step2_abort_past_the_first_label(n, balance_factor, first_violation):
+    # A cap that holds on the first segments and search nodes and first
+    # fails further in: both forms must name the same label and count.
+    # On a diagonal segment at rate < 1 a vertex's count includes the pairs
+    # where it is the larger endpoint (the n=48 case fails there first).
+    constants = PaperConstants(scale=0.05, balance_factor=balance_factor)
+    with pytest.raises(ProtocolAbortedError) as segmented:
+        _run_step2(_step2_sample, n, 5, constants)
+    with pytest.raises(ProtocolAbortedError) as loops:
+        _run_step2(reference.step2_sample_loops, n, 5, constants)
+    assert first_violation in str(loops.value)
+    assert str(segmented.value) == str(loops.value)
+
+
+def test_step2_two_hop_only_for_kept_segments():
+    # The two-hop tables are shared with IdentifyClass, so building one for
+    # a segment that keeps no pair costs time without changing any output.
+    # On a tripartite instance only the I×J segments hold scope pairs.
+    calls: list = []
+    result = _run_step2(
+        _step2_sample, 144, 1, PaperConstants(scale=0.5),
+        _tripartite_instance(48, 1), calls,
+    )
+    kept_segments = {
+        (bu, bv) for (bu, bv, _), (pairs, _, _) in result["node_pairs"].items()
+        if len(pairs)
+    }
+    assert CliquePartitions(144).num_coarse ** 2 == 9
+    assert sorted(calls) == sorted(kept_segments) == [(0, 1), (1, 0)]
 
 
 @pytest.mark.parametrize("n", SIZES)
