@@ -1,26 +1,15 @@
-"""E20 — multi-process scale-out (PR 10).
+"""E20 — multi-process sweep scale-out.
 
-What this regenerates: the scaling behavior of the shared-memory
-dispatch plane across worker counts.  Two workloads:
+What this regenerates: the scaling behavior of the shared-memory sweep
+plane across worker counts — a 10 000-graph APSP sweep (``n = 16``)
+through :func:`repro.parallel.solve_weights_batch`, graphs packed once into
+a shared-memory arena and chunked across the pool, at 1/2/4/8 workers.
 
-* a single ``n = 1024`` quantum ``compute_pairs`` solve whose per-class
-  Grover searches fan out through :class:`repro.parallel.ClassDispatcher`
-  (one ``BatchedMultiSearch`` per worker task — the smallest unit the RNG
-  contract lets the dispatcher move cross-process);
-* a 10 000-graph APSP sweep (``n = 16``) through
-  :func:`repro.parallel.solve_weights_batch`, graphs packed once into a
-  shared-memory arena and chunked across the pool.
-
-Each runs at 1/2/4/8 workers.  The contract asserted here (and in the
-bench-smoke lane via ``test_smoke_e20_scaleout``):
-
-* every dispatched run is **byte-identical** to the in-process run —
-  same pairs, same round ledger, same distances — at every worker count
-  (this is what the shared-seed columns and whole-class dispatch buy);
-* on a machine with ≥ 4 cores, 4 workers deliver ≥ 3× speedup on the
-  quantum solve.  The committed table records ``cores`` so rows measured
-  on smaller machines (where the speedup column can only show dispatch
-  overhead, not parallelism) are interpretable rather than misleading.
+The contract asserted here (and in the bench-smoke lane via
+``test_smoke_e20_scaleout``): every dispatched run is **byte-identical** to
+the in-process run — same distances, same rounds — at every worker count.
+The committed table records the host ``cores`` so its speedup column is
+interpretable.
 
 The wall-clock columns vary per host; every other column is
 deterministic.
@@ -35,55 +24,14 @@ import numpy as np
 
 import repro
 from repro.analysis import format_table
-from repro.core.compute_pairs import compute_pairs
 from repro.parallel import solve_weights_batch
 
 from benchmarks.conftest import write_metrics, write_result
 
 WORKER_COUNTS = [1, 2, 4, 8]
-QUANTUM_N = 1024
-QUANTUM_SEED = 7
 SWEEP_GRAPHS = 10_000
 SWEEP_N = 16
 CORES = os.cpu_count() or 1
-
-
-def run_quantum_scaling(n: int, worker_counts: list[int]) -> list[dict]:
-    """One quantum solve per worker count, all on the same instance."""
-    graph = repro.random_undirected_graph(
-        n, density=0.5, max_weight=7, rng=QUANTUM_SEED
-    )
-    instance = repro.FindEdgesInstance(graph)
-    rows = []
-    baseline = None
-    for workers in worker_counts:
-        started = time.perf_counter()
-        solution = compute_pairs(
-            instance, rng=QUANTUM_SEED + 1, workers=workers
-        )
-        wall = time.perf_counter() - started
-        fingerprint = (
-            tuple(sorted(solution.pairs)),
-            solution.rounds,
-            solution.ledger.snapshot(),
-        )
-        if baseline is None:
-            baseline = {"wall": wall, "fingerprint": fingerprint}
-        speedup = baseline["wall"] / wall if wall > 0 else 0.0
-        rows.append(
-            {
-                "phase": "quantum",
-                "n": n,
-                "workers": workers,
-                "wall_seconds": wall,
-                "rounds": solution.rounds,
-                "pairs": len(solution.pairs),
-                "speedup": speedup,
-                "efficiency": speedup / workers,
-                "identical_to_sequential": fingerprint == baseline["fingerprint"],
-            }
-        )
-    return rows
 
 
 def run_sweep_scaling(
@@ -131,45 +79,29 @@ def assert_contract(rows: list[dict]) -> None:
             "in-process run — the dispatch plane must be observationally "
             "a no-op"
         )
-    if CORES >= 4:
-        quantum4 = next(
-            row
-            for row in rows
-            if row["phase"] == "quantum" and row["workers"] == 4
-        )
-        assert quantum4["speedup"] >= 3.0, (
-            f"4-worker quantum speedup {quantum4['speedup']:.2f}× < 3× "
-            f"on a {CORES}-core machine"
-        )
 
 
 def render_table(rows: list[dict]) -> str:
-    lines = [
-        "E20 — multi-process scale-out "
-        f"(quantum n={QUANTUM_N}; sweep {SWEEP_GRAPHS} graphs at "
-        f"n={SWEEP_N}; host cores={CORES})",
-        format_table(
-            ["phase", "workers", "wall s", "speedup", "efficiency", "identical"],
-            [
+    return "\n".join(
+        [
+            "E20 — multi-process sweep scale-out "
+            f"({SWEEP_GRAPHS} graphs at n={SWEEP_N}; host cores={CORES})",
+            format_table(
+                ["phase", "workers", "wall s", "speedup", "efficiency", "identical"],
                 [
-                    row["phase"],
-                    row["workers"],
-                    f"{row['wall_seconds']:.3f}",
-                    f"{row['speedup']:.2f}x",
-                    f"{row['efficiency']:.2f}",
-                    "yes" if row["identical_to_sequential"] else "NO",
-                ]
-                for row in rows
-            ],
-        ),
-    ]
-    if CORES < 4:
-        lines.append(
-            f"note: {CORES} core(s) — speedup columns measure dispatch "
-            "overhead only; the >=3x contract is asserted on hosts with "
-            ">=4 cores"
-        )
-    return "\n".join(lines)
+                    [
+                        row["phase"],
+                        row["workers"],
+                        f"{row['wall_seconds']:.3f}",
+                        f"{row['speedup']:.2f}x",
+                        f"{row['efficiency']:.2f}",
+                        "yes" if row["identical_to_sequential"] else "NO",
+                    ]
+                    for row in rows
+                ],
+            ),
+        ]
+    )
 
 
 def metric_records(rows: list[dict]) -> list[dict]:
@@ -178,10 +110,7 @@ def metric_records(rows: list[dict]) -> list[dict]:
 
 def test_e20_scaleout(benchmark):
     rows = benchmark.pedantic(
-        lambda: (
-            run_quantum_scaling(QUANTUM_N, WORKER_COUNTS)
-            + run_sweep_scaling(SWEEP_GRAPHS, SWEEP_N, WORKER_COUNTS)
-        ),
+        lambda: run_sweep_scaling(SWEEP_GRAPHS, SWEEP_N, WORKER_COUNTS),
         rounds=1,
         iterations=1,
     )
@@ -192,7 +121,7 @@ def test_e20_scaleout(benchmark):
 
 def test_smoke_e20_scaleout():
     """Bench-smoke lane: the byte-identity contract at 2 workers on a
-    small instance and a small sweep — no tables written."""
-    rows = run_quantum_scaling(48, [1, 2]) + run_sweep_scaling(64, 8, [1, 2])
+    small sweep — no tables written."""
+    rows = run_sweep_scaling(64, 8, [1, 2])
     assert_contract(rows)
-    assert {row["phase"] for row in rows} == {"quantum", "sweep"}
+    assert {row["phase"] for row in rows} == {"sweep"}

@@ -226,10 +226,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
 def _make_store(args: argparse.Namespace) -> ResultStore:
     cache_dir = getattr(args, "cache_dir", None)
-    num_shards = getattr(args, "shards", None) or 1
-    if cache_dir:
-        return ResultStore(cache_dir=cache_dir, num_shards=num_shards)
-    return ResultStore(num_shards=num_shards)
+    return ResultStore(cache_dir=cache_dir) if cache_dir else ResultStore()
 
 
 def _retry_policy(args: argparse.Namespace):
@@ -307,6 +304,7 @@ def _verbose_summary(collector) -> None:
             ("timeouts", "jobs.timeouts"),
             ("worker crashes", "jobs.worker_crashes"),
             ("quarantined", "store.quarantined"),
+            ("stale discards", "store.stale_discards"),
             ("degraded", "queries.degraded"),
         )
         if counters.get(name, 0)
@@ -538,12 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", type=float, default=0.5)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cache-dir", help="persist closures as .npz under this dir")
-        p.add_argument(
-            "--shards", type=int, default=1, metavar="N",
-            help="split the result store across N digest-prefix shards "
-            "(own lock/LRU budget/quarantine per shard; 1 keeps the flat "
-            "layout)",
-        )
         p.add_argument(
             "--timeout", type=float, default=None, metavar="SECONDS",
             help="per-job wall-clock budget across all retry attempts",

@@ -98,7 +98,6 @@ def compute_pairs(
     max_retries: int = 5,
     amplification: float = 12.0,
     attach_payloads: bool = False,
-    workers: int = 1,
 ) -> FindEdgesSolution:
     """Solve FindEdgesWithPromise with Algorithm ComputePairs.
 
@@ -106,46 +105,30 @@ def compute_pairs(
     Retries up to ``max_retries`` times on protocol aborts; raises
     :class:`ConvergenceError` if every attempt aborts (probability
     ``O(n^{-max_retries})`` under the paper's parameters).
-
-    ``workers`` > 1 dispatches the independent per-class Step-3 searches to
-    a shared-memory worker pool (``None`` → cpu-derived default; see
-    :mod:`repro.parallel`).  One pool persists across retry attempts.  The
-    output — rounds, ledger, found pairs — is byte-identical at any worker
-    count, because every RNG draw stays in the parent.
     """
     generator = ensure_rng(rng)
     aborts = 0
-    dispatcher = None
-    if workers is None or workers > 1:
-        from repro.parallel import ClassDispatcher
-
-        dispatcher = ClassDispatcher(workers)
-    try:
-        with telemetry.span(
-            "compute_pairs",
-            n=instance.num_vertices,
-            search_mode=search_mode,
-        ) as outer:
-            for _ in range(max_retries):
-                try:
-                    solution = _compute_pairs_once(
-                        instance,
-                        constants=constants,
-                        rng=spawn_rng(generator),
-                        search_mode=search_mode,
-                        amplification=amplification,
-                        attach_payloads=attach_payloads,
-                        dispatcher=dispatcher,
-                    )
-                except ProtocolAbortedError:
-                    aborts += 1
-                    continue
-                solution.aborts = aborts
-                outer.set("aborts", aborts).set("rounds", solution.rounds)
-                return solution
-    finally:
-        if dispatcher is not None:
-            dispatcher.shutdown()
+    with telemetry.span(
+        "compute_pairs",
+        n=instance.num_vertices,
+        search_mode=search_mode,
+    ) as outer:
+        for _ in range(max_retries):
+            try:
+                solution = _compute_pairs_once(
+                    instance,
+                    constants=constants,
+                    rng=spawn_rng(generator),
+                    search_mode=search_mode,
+                    amplification=amplification,
+                    attach_payloads=attach_payloads,
+                )
+            except ProtocolAbortedError:
+                aborts += 1
+                continue
+            solution.aborts = aborts
+            outer.set("aborts", aborts).set("rounds", solution.rounds)
+            return solution
     raise ConvergenceError(
         f"ComputePairs aborted {max_retries} times in a row; "
         "constants.scale may be too aggressive for this n"
@@ -160,7 +143,6 @@ def _compute_pairs_once(
     search_mode: str,
     amplification: float,
     attach_payloads: bool = False,
-    dispatcher=None,
 ) -> FindEdgesSolution:
     n = instance.num_vertices
     with telemetry.span("compute_pairs.step0_setup", n=n):
@@ -213,7 +195,6 @@ def _compute_pairs_once(
             rng=rng,
             search_mode=search_mode,
             amplification=amplification,
-            dispatcher=dispatcher,
         )
 
     details = {

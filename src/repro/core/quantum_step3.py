@@ -177,7 +177,6 @@ def run_step3(
     rng=None,
     search_mode: str = "quantum",
     amplification: float = 12.0,
-    dispatcher=None,
 ) -> Step3Report:
     """Execute Step 3 and return the union of detected pairs.
 
@@ -194,15 +193,6 @@ def run_step3(
     Each class's searches advance off one batch generator seeded from a
     per-lane seed column (see :mod:`repro.quantum.batched`); the schedule
     and the seed column are both drawn from ``rng``.
-
-    ``dispatcher`` (a :class:`repro.parallel.ClassDispatcher`) farms the
-    per-class batched searches to worker processes through a shared-memory
-    arena.  The work unit is the whole class (each class runs one batch
-    stream), all RNG state is drawn here in the parent in the
-    sequential order, and per-phase charges land in class order — so rounds,
-    ledgers, and found pairs are byte-identical to the in-process path at
-    any worker count.  An inline (non-parallel) dispatcher, ``None``, or
-    ``search_mode="classical"`` all take the in-process path.
     """
     if search_mode not in ("quantum", "classical"):
         raise ValueError(f"unknown search_mode {search_mode!r}")
@@ -211,19 +201,7 @@ def run_step3(
     arrays = _SearchArrays.build(network, node_pairs)
     triples = _TripleArrays(network, assignment)
 
-    all_alphas = sorted({alpha for alpha in assignment.classes.values()})
-    if (
-        dispatcher is not None
-        and getattr(dispatcher, "parallel", False)
-        and search_mode == "quantum"
-    ):
-        _run_step3_dispatched(
-            network, partitions, constants, assignment, node_pairs,
-            arrays, triples, all_alphas, report, generator,
-            amplification, dispatcher,
-        )
-        return report
-    for alpha in all_alphas:
+    for alpha in sorted(set(assignment.classes.values())):
         with telemetry.span("step3.class", alpha=alpha, mode=search_mode):
             _run_class(
                 network,
@@ -308,14 +286,12 @@ def _class_prelude(
     alpha: int,
     report: Step3Report,
 ) -> tuple | None:
-    """Parent-side, network-coupled prep of one class.
+    """Network-coupled prep of one class.
 
     Builds the domain CSR, registers the duplication scheme and charges the
     Fig. 5 Step-0 replication, and prices one oracle application.  Returns
     ``(domain_csr, in_domain, beta, eval_r)``, or ``None`` when no label has
-    a populated domain (rounds recorded as zero, nothing charged) — shared
-    verbatim by the in-process and dispatched drivers so the two paths
-    cannot drift.
+    a populated domain (rounds recorded as zero, nothing charged).
     """
     n = partitions.num_vertices
     beta = constants.eval_beta(n, alpha)
@@ -373,228 +349,6 @@ def _class_prelude(
     eval_r = max(eval_r, 1.0)
     report.eval_rounds_per_alpha[alpha] = eval_r
     return (counts, offsets, flat_blocks), in_domain, beta, eval_r
-
-
-def _class_columns(
-    arrays: _SearchArrays,
-    node_pairs: NodePairs,
-    domain_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
-    lane_indices: np.ndarray,
-    seeds: np.ndarray,
-    alpha: int,
-) -> dict[str, np.ndarray]:
-    """One class's search state as flat arena columns.
-
-    Variable-length per-lane data (domain blocks, kept pairs, witness
-    tables) concatenates along the lane axis with offsets implied by the
-    ``items`` / ``searches`` count columns — the same CSR idiom as the
-    domain itself, so a worker reconstructs every lane with two slices.
-    """
-    counts, offsets, flat_blocks = domain_csr
-    prefix = f"step3.a{alpha}."
-    index_list = lane_indices.tolist()
-    blocks = np.concatenate(
-        [flat_blocks[offsets[ix]:offsets[ix + 1]] for ix in index_list]
-    )
-    pairs = np.concatenate(
-        [
-            np.asarray(node_pairs[arrays.keys[ix]][0], dtype=np.int64).reshape(-1, 2)
-            for ix in index_list
-        ]
-    )
-    witness = np.concatenate(
-        [node_pairs[arrays.keys[ix]][2] for ix in index_list], axis=0
-    )
-    return {
-        prefix + "items": counts[lane_indices],
-        prefix + "searches": arrays.num_pairs[lane_indices],
-        prefix + "blocks": blocks,
-        prefix + "pairs": pairs,
-        prefix + "witness": witness,
-        prefix + "seeds": seeds,
-    }
-
-
-def _register_lanes_from_columns(
-    batched: BatchedMultiSearch,
-    items: np.ndarray,
-    searches: np.ndarray,
-    blocks: np.ndarray,
-    pairs: np.ndarray,
-    witness: np.ndarray,
-) -> list[np.ndarray]:
-    """Worker-side twin of :func:`register_class_lanes` over arena columns.
-
-    Chunking (``_chunk_stop``) and stack fill are identical to the
-    in-process path; lane keys are ordinals because only registration
-    order matters to the caller.
-    """
-    block_offsets = np.concatenate(([0], np.cumsum(items)))
-    pair_offsets = np.concatenate(([0], np.cumsum(searches)))
-    lane_pairs: list[np.ndarray] = []
-    start = 0
-    while start < items.size:
-        stop = _chunk_stop(items, searches, start)
-        chunk_items = items[start:stop]
-        chunk_searches = searches[start:stop]
-        stack = np.zeros(
-            (stop - start, int(chunk_searches.max()), int(chunk_items.max())),
-            dtype=bool,
-        )
-        for lane, ix in enumerate(range(start, stop)):
-            lane_blocks = blocks[block_offsets[ix]:block_offsets[ix + 1]]
-            table = witness[pair_offsets[ix]:pair_offsets[ix + 1]]
-            stack[lane, : table.shape[0], : lane_blocks.size] = table[:, lane_blocks]
-            lane_pairs.append(pairs[pair_offsets[ix]:pair_offsets[ix + 1]])
-        batched.add_lanes(
-            list(range(start, stop)), chunk_items, chunk_searches, stack
-        )
-        start = stop
-    return lane_pairs
-
-
-def _step3_class_task(arena, spec: dict) -> dict:
-    """Run one class's batched searches off arena columns (worker side).
-
-    Everything nondeterministic arrived precomputed — the iteration
-    schedule and the per-lane seed column were drawn by the parent — so
-    this is pure replay: reconstruct the :class:`BatchedMultiSearch`, run
-    it, and return the compact per-class tallies plus the found pairs.
-    """
-    alpha = spec["alpha"]
-    prefix = f"step3.a{alpha}."
-    items = arena[prefix + "items"]
-    searches = arena[prefix + "searches"]
-    with telemetry.span("step3.class", alpha=alpha, mode="quantum"):
-        batched = BatchedMultiSearch(
-            batch_rng=np.array(arena[prefix + "seeds"], copy=True),
-            beta=spec["beta"],
-            eval_rounds=spec["eval_rounds"],
-            amplification=spec["amplification"],
-        )
-        lane_pairs = _register_lanes_from_columns(
-            batched, items, searches,
-            arena[prefix + "blocks"], arena[prefix + "pairs"],
-            arena[prefix + "witness"],
-        )
-        phase_rounds = 0.0
-        total_searches = 0
-        truncations = 0
-        corrupted = 0
-        found_chunks: list[np.ndarray] = []
-        for pairs, result in zip(lane_pairs, batched.run(spec["schedule"]).values()):
-            total_searches += int(result.found.size)
-            truncations += result.typicality.truncated_entries
-            corrupted += result.corrupted_repetitions
-            phase_rounds = max(phase_rounds, result.rounds)
-            found = pairs[result.found_mask()]
-            if found.size:
-                found_chunks.append(found)
-    found = (
-        np.concatenate(found_chunks)
-        if found_chunks
-        else np.empty((0, 2), dtype=np.int64)
-    )
-    return {
-        "alpha": alpha,
-        "rounds": phase_rounds,
-        "found": found,
-        "total_searches": total_searches,
-        "truncations": truncations,
-        "corrupted": corrupted,
-    }
-
-
-def _run_step3_dispatched(
-    network: CongestClique,
-    partitions: CliquePartitions,
-    constants: PaperConstants,
-    assignment: ClassAssignment,
-    node_pairs: NodePairs,
-    arrays: _SearchArrays,
-    triples: _TripleArrays,
-    all_alphas: list[int],
-    report: Step3Report,
-    generator,
-    amplification: float,
-    dispatcher,
-) -> None:
-    """Farm the per-class searches to the dispatcher's worker pool.
-
-    Phase 1 walks the classes in order doing everything network- or
-    RNG-coupled in the parent: the prelude (domain CSR, duplication charge,
-    oracle pricing) and the schedule / seed-column draws, in exactly the
-    sequential stream order.  Phase 2 packs every class's columns into one
-    arena and maps :func:`_step3_class_task` over the classes.  Phase 3
-    folds results and charges ``step3.alphaN.search`` in class order, so
-    the per-phase ledger matches the in-process path exactly.
-    """
-    specs: list[dict] = []
-    arena_arrays: dict[str, np.ndarray] = {}
-    empty_lane_alphas: list[int] = []
-    for alpha in all_alphas:
-        with telemetry.span("step3.class_prep", alpha=alpha):
-            prelude = _class_prelude(
-                network, partitions, constants, assignment, arrays, triples,
-                alpha, report,
-            )
-            if prelude is None:
-                continue
-            (counts, offsets, flat_blocks), in_domain, beta, eval_r = prelude
-            max_domain = int(counts[in_domain].max())
-            max_m = int(arrays.num_pairs[in_domain].max())
-            cap = max_iterations(max_domain + 1)
-            repetitions = max(
-                1, int(np.ceil(amplification * guarded_log(max(max_m, 2))))
-            )
-            schedule = generator.integers(0, cap + 1, size=repetitions).tolist()
-            lane_indices = np.nonzero(in_domain & (arrays.num_pairs > 0))[0]
-            if lane_indices.size == 0:
-                empty_lane_alphas.append(alpha)
-                continue
-            seeds = generator.integers(0, 2**63 - 1, size=lane_indices.size)
-            arena_arrays.update(
-                _class_columns(
-                    arrays, node_pairs, (counts, offsets, flat_blocks),
-                    lane_indices, seeds, alpha,
-                )
-            )
-            specs.append(
-                {
-                    "alpha": int(alpha),
-                    "beta": float(beta),
-                    "eval_rounds": float(eval_r),
-                    "amplification": float(amplification),
-                    "schedule": schedule,
-                }
-            )
-    results: list[dict] = []
-    if specs:
-        arena = dispatcher.make_arena(arena_arrays)
-        try:
-            with telemetry.span(
-                "step3.dispatch",
-                classes=len(specs),
-                workers=dispatcher.max_workers,
-            ):
-                results = dispatcher.map_arena(_step3_class_task, arena, specs)
-        finally:
-            arena.dispose()
-    by_alpha = {result["alpha"]: result for result in results}
-    for alpha in all_alphas:
-        result = by_alpha.get(alpha)
-        if result is not None:
-            report.total_searches += result["total_searches"]
-            report.typicality_truncations += result["truncations"]
-            report.corrupted_repetitions += result["corrupted"]
-            report.found_pairs.update(
-                found_pair_set([result["found"]], partitions.num_vertices)
-            )
-            network.charge_local(f"step3.alpha{alpha}.search", result["rounds"])
-            report.search_rounds_per_alpha[alpha] = result["rounds"]
-        elif alpha in empty_lane_alphas:
-            network.charge_local(f"step3.alpha{alpha}.search", 0.0)
-            report.search_rounds_per_alpha[alpha] = 0.0
 
 
 def _run_class(

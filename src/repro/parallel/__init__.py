@@ -1,16 +1,14 @@
 """Shared-memory columnar scale-out plane.
 
-The columnar refactors (``MessageBatch``, the domain-CSR query plans, the
-``BatchedMultiSearch`` lane stacks) left every hot data structure as a plain
-contiguous ndarray.  This package exploits that: a :class:`ShmArena` publishes
-those arrays in named ``multiprocessing.shared_memory`` blocks described by a
-picklable manifest, and a :class:`ClassDispatcher` farms independent
-per-class (or per-graph) tasks to a persistent worker pool whose workers
-attach the arena once and read the columns zero-copy.
+A sweep of many small graphs is embarrassingly parallel: every graph is an
+independent solve.  :func:`solve_weights_batch` stacks the weight matrices
+into a :class:`ShmArena` — named ``multiprocessing.shared_memory`` blocks
+described by a picklable manifest — and a :class:`ClassDispatcher` farms
+contiguous chunks of graphs to a persistent worker pool whose workers attach
+the arena once and read and write the columns zero-copy.
 
-Determinism contract: all RNG state (schedules, per-lane seed columns) is
-drawn in the parent in exactly the sequential order, so dispatched runs are
-byte-identical to the in-process path regardless of worker count.
+Determinism contract: graph ``i`` is solved with seed ``seed + i``, so a
+sweep is byte-identical to the in-process path regardless of worker count.
 """
 
 from __future__ import annotations

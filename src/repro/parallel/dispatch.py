@@ -1,17 +1,12 @@
 """Persistent worker pool dispatching columnar tasks against a shared arena.
 
 A :class:`ClassDispatcher` owns one ``ProcessPoolExecutor`` for the lifetime
-of a solve (or a sweep) and farms *whole* independent work units to it:
-per-class ``BatchedMultiSearch`` runs inside one solve, per-graph solves
-inside a sweep.  The work unit is deliberately the whole class — Step 3
-draws one batch stream per class, so splitting a class across workers
-would change the stream.  All RNG state is drawn in the parent in
-sequential order and shipped through the arena, which keeps dispatched runs
-byte-identical to the in-process path at any worker count.
+of a sweep and farms independent work units to it — contiguous chunks of
+per-graph solves.  Each graph's solver is seeded from its index, so the
+output is byte-identical to the in-process path at any worker count.
 
-Workers attach the arena exactly once (per-worker initializer plus a cached
-attach keyed by block name for arenas created after the pool) and read the
-columns zero-copy.  When the parent has a telemetry collector installed,
+Workers attach an arena once (a cached attach keyed by block name) and read
+the columns zero-copy.  When the parent has a telemetry collector installed,
 each task runs under its own worker-side collector and ships a compact
 summary back with its result; the parent folds those in via
 :meth:`TelemetryCollector.merge_worker`, mirroring the PR-9 fault-count
@@ -27,8 +22,7 @@ from typing import Callable, Optional, Sequence
 from repro import telemetry
 from repro.parallel.arena import ArenaManifest, LocalArena, ShmArena, shm_available
 
-#: Hard cap on auto-derived worker counts; beyond this the per-class work
-#: units are too few to keep extra processes busy.
+#: Hard cap on auto-derived worker counts.
 MAX_AUTO_WORKERS = 8
 
 #: Result-payload key carrying the worker telemetry summary.
@@ -45,7 +39,7 @@ def default_workers(cap: int = MAX_AUTO_WORKERS) -> int:
 # -- worker-side state -----------------------------------------------------
 
 #: The one arena this worker process keeps attached.  Arenas rotate between
-#: solve attempts; attaching a new one drops the previous mapping.
+#: sweeps; attaching a new one drops the previous mapping.
 _WORKER_ARENA: Optional[ShmArena] = None
 
 
@@ -62,16 +56,13 @@ def _attach_worker_arena(manifest: Optional[ArenaManifest]) -> Optional[ShmArena
     return _WORKER_ARENA
 
 
-def _init_worker(manifest: Optional[ArenaManifest]) -> None:
-    """Pool initializer: attach the arena once, before any task runs.
-
-    Also drops any telemetry collector inherited through ``fork`` — the
-    worker installs its own per-task collector when the parent is tracing,
-    and an inherited slot would make that install fail.
+def _init_worker() -> None:
+    """Pool initializer: drop any telemetry collector inherited through
+    ``fork`` — the worker installs its own per-task collector when the
+    parent is tracing, and an inherited slot would make that install fail.
     """
 
     telemetry.uninstall()
-    _attach_worker_arena(manifest)
 
 
 def worker_summary(collector: telemetry.TelemetryCollector) -> dict:
@@ -119,12 +110,7 @@ class ClassDispatcher:
     graceful-degradation story for platforms without ``shared_memory``.
     """
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        *,
-        arena: Optional[ShmArena] = None,
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         requested = default_workers() if max_workers is None else int(max_workers)
         if requested < 1:
             raise ValueError(f"max_workers must be >= 1, got {requested}")
@@ -133,11 +119,8 @@ class ClassDispatcher:
         self.max_workers = requested
         self._pool: Optional[ProcessPoolExecutor] = None
         if self.max_workers > 1:
-            manifest = arena.manifest if arena is not None else None
             self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_init_worker,
-                initargs=(manifest,),
+                max_workers=self.max_workers, initializer=_init_worker
             )
 
     @property

@@ -25,6 +25,10 @@ _WEIGHTS = "sweep.weights"
 _DISTANCES = "sweep.distances"
 _ROUNDS = "sweep.rounds"
 
+#: Chunks per worker: enough to even out per-chunk solve-time variance
+#: without paying per-task dispatch overhead on every graph.
+_CHUNKS_PER_WORKER = 4
+
 
 @dataclass
 class BatchSolveResult:
@@ -60,7 +64,6 @@ def solve_weights_batch(
     options=None,
     workers: Optional[int] = None,
     dispatcher: Optional[ClassDispatcher] = None,
-    chunks_per_worker: int = 4,
 ) -> BatchSolveResult:
     """Solve every graph in the ``(G, n, n)`` weight stack, in parallel.
 
@@ -91,7 +94,7 @@ def solve_weights_batch(
             }
         )
         try:
-            num_chunks = max(1, min(num_graphs, dispatcher.max_workers * chunks_per_worker))
+            num_chunks = max(1, min(num_graphs, dispatcher.max_workers * _CHUNKS_PER_WORKER))
             bounds = np.linspace(0, num_graphs, num_chunks + 1).astype(np.int64)
             specs = [
                 {"lo": int(lo), "hi": int(hi), "solver": solver, "options": options}

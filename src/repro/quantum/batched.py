@@ -183,15 +183,13 @@ class BatchedMultiSearch:
     per-lane seed column.  It materializes at run time, so the decision to
     count its draws follows whatever telemetry collector is installed then.
 
-    Scale-out contract: one ``BatchedMultiSearch`` is the smallest unit the
-    :mod:`repro.parallel` dispatcher may move to another process.  Every
-    lane of a class draws from the shared batch generator (at most three
-    calls per repetition across *all* lanes), so splitting a class's lanes
-    across workers would change the stream; dispatching whole classes —
-    with ``tables`` and ``batch_rng`` read zero-copy from shared-memory
-    arena columns (read-only views are fine; every input is either copied
-    into the CSR or only read) — keeps measurements byte-identical at any
-    worker count.
+    Scale-out contract: a class is indivisible.  Every lane draws from the
+    shared batch generator (at most three calls per repetition across
+    *all* lanes), so splitting a class's lanes across processes would
+    change the stream.  Classes are independent, but Step 3 runs them one
+    after another in one process: the search is about a third of a
+    ComputePairs solve, so dispatching whole classes to a pool can win at
+    most ~1.5x, and on a 2-core host it lost at every size measured.
     """
 
     def __init__(

@@ -7,14 +7,9 @@ version).  The :class:`ResultStore` keeps artifacts in memory under their
 graph digest with LRU eviction, and can additionally persist them as
 ``.npz`` archives under a cache directory so closures survive processes.
 
-Sharding: with ``num_shards > 1`` the store splits into digest-prefix
-shards — archives land under ``shards/<xx>/`` keyed by the first byte of
-the artifact digest, and each shard owns its lock, its slice of the LRU
-budget, and its quarantine path, so concurrent workers only contend when
-they touch the same prefix.  ``num_shards=1`` keeps the original flat
-layout, and a sharded store still reads flat-layout archives as a
-migration fallback.  Writes are atomic either way (temp file +
-``os.replace``), so a crashed worker can never leave a torn archive.
+Archives live flat in the cache directory as ``<digest>.<solver>.npz``.
+Writes are atomic (temp file + ``os.replace``), so a crashed writer can
+never leave a torn archive.
 
 Persisted artifacts carry ``repro.__version__``; an archive written by a
 different library version is treated as stale and ignored on load (counted
@@ -38,7 +33,7 @@ import os
 import pathlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -148,177 +143,94 @@ class StoreStats:
             "quarantined": self.quarantined,
         }
 
-    def add(self, other: "StoreStats") -> "StoreStats":
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.disk_loads += other.disk_loads
-        self.stale_discards += other.stale_discards
-        self.quarantined += other.quarantined
-        return self
-
-
-class _Shard:
-    """One digest-prefix shard: its own LRU map, budget, lock, and stats.
-
-    The lock serializes everything the shard does — memory lookups, disk
-    loads, write-through — so concurrent workers only contend when they
-    touch the *same* prefix, never across shards.
-    """
-
-    __slots__ = ("capacity", "entries", "lock", "stats")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.entries: "OrderedDict[str, ClosureArtifact]" = OrderedDict()
-        self.lock = threading.Lock()
-        self.stats = StoreStats()
-
 
 class ResultStore:
     """LRU cache of closure artifacts keyed by ``digest:solver``
-    (:func:`artifact_key`), split across digest-prefix shards.
+    (:func:`artifact_key`).
 
     Parameters
     ----------
     capacity:
-        Maximum number of artifacts held in memory, split evenly across the
-        shards (each shard holds up to ``ceil(capacity / num_shards)``); the
-        least recently *used* (``get`` or ``put``) entry of a shard is
-        evicted first.
+        Maximum number of artifacts held in memory; the least recently
+        *used* (``get`` or ``put``) entry is evicted first.
     cache_dir:
         Optional directory for ``.npz`` persistence.  ``put`` writes
         through; ``get`` falls back to disk on a memory miss and promotes
         the loaded artifact back into memory.
-    num_shards:
-        Number of shards.  ``1`` (the default) keeps the flat
-        single-directory layout.  With more shards, archives live under
-        ``cache_dir/shards/<xx>/`` where ``xx`` is the first byte of the
-        artifact digest, each shard has its own lock, LRU budget, and
-        quarantine path, and the flat layout remains readable as a
-        migration fallback.
     """
 
     def __init__(
         self,
         capacity: int = 64,
         cache_dir: Optional[PathLike] = None,
-        num_shards: int = 1,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if not 1 <= num_shards <= 256:
-            raise ValueError(f"num_shards must be in [1, 256], got {num_shards}")
         self.capacity = capacity
-        self.num_shards = num_shards
         self.cache_dir = pathlib.Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        per_shard = -(-capacity // num_shards)  # ceil
-        self._shards = [_Shard(per_shard) for _ in range(num_shards)]
-
-    # -- shard routing -------------------------------------------------------
-
-    @staticmethod
-    def _digest_prefix(key: str) -> str:
-        """Two lowercase hex chars: the first byte of the artifact digest.
-
-        Non-hex digests (only possible for hand-built keys) are rehashed so
-        every key still routes deterministically to a valid prefix.
-        """
-        digest = key.split(":", 1)[0]
-        prefix = digest[:2].lower()
-        if len(prefix) == 2 and all(c in "0123456789abcdef" for c in prefix):
-            return prefix
-        return hashlib.sha256(digest.encode()).hexdigest()[:2]
-
-    def _shard_for(self, key: str) -> _Shard:
-        return self._shards[int(self._digest_prefix(key), 16) % self.num_shards]
+        self._entries: "OrderedDict[str, ClosureArtifact]" = OrderedDict()
+        # Serializes memory lookups, disk loads and write-through.
+        self._lock = threading.Lock()
+        self.stats = StoreStats()
 
     # -- core cache operations ----------------------------------------------
 
     def get(self, key: str) -> Optional[ClosureArtifact]:
         """The artifact stored under :func:`artifact_key` ``key``, or
         ``None`` (counted as a miss)."""
-        shard = self._shard_for(key)
-        with shard.lock:
-            entry = shard.entries.get(key)
+        with self._lock:
+            entry = self._entries.get(key)
             if entry is not None:
-                shard.entries.move_to_end(key)
-                shard.stats.hits += 1
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
                 _count("store.hits")
                 return entry
-            entry = self._load_from_disk(key, shard)
+            entry = self._load_from_disk(key)
             if entry is not None:
-                shard.stats.hits += 1
-                shard.stats.disk_loads += 1
+                self.stats.hits += 1
+                self.stats.disk_loads += 1
                 _count("store.hits")
                 _count("store.disk_loads")
-                self._insert(entry, shard)
+                self._insert(entry)
                 return entry
-            shard.stats.misses += 1
+            self.stats.misses += 1
             _count("store.misses")
             return None
 
     def put(self, artifact: ClosureArtifact) -> None:
         """Insert (or refresh) an artifact; write through to disk if
         persistence is enabled."""
-        shard = self._shard_for(artifact.key)
-        with shard.lock:
-            self._insert(artifact, shard)
+        with self._lock:
+            self._insert(artifact)
             if self.cache_dir is not None:
                 self._persist(artifact)
 
     def __len__(self) -> int:
-        return sum(len(shard.entries) for shard in self._shards)
+        return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._shard_for(key).entries
+        return key in self._entries
 
     def clear_memory(self) -> None:
         """Drop every in-memory entry (persisted archives are kept)."""
-        for shard in self._shards:
-            with shard.lock:
-                shard.entries.clear()
+        with self._lock:
+            self._entries.clear()
 
-    @property
-    def stats(self) -> StoreStats:
-        """Aggregated counters across all shards."""
-        total = StoreStats()
-        for shard in self._shards:
-            total.add(shard.stats)
-        return total
-
-    def shard_stats(self) -> list[dict]:
-        """Per-shard counters (index-aligned with the shard list)."""
-        return [shard.stats.as_dict() for shard in self._shards]
-
-    def _insert(self, artifact: ClosureArtifact, shard: _Shard) -> None:
-        shard.entries[artifact.key] = artifact
-        shard.entries.move_to_end(artifact.key)
-        while len(shard.entries) > shard.capacity:
-            shard.entries.popitem(last=False)
-            shard.stats.evictions += 1
+    def _insert(self, artifact: ClosureArtifact) -> None:
+        self._entries[artifact.key] = artifact
+        self._entries.move_to_end(artifact.key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
             _count("store.evictions")
 
     # -- persistence ---------------------------------------------------------
 
-    def _artifact_name(self, key: str) -> str:
-        return f"{key.replace(':', '.')}.npz"
-
     def _artifact_path(self, key: str) -> pathlib.Path:
         assert self.cache_dir is not None
-        if self.num_shards == 1:
-            return self.cache_dir / self._artifact_name(key)
-        return (
-            self.cache_dir / "shards" / self._digest_prefix(key)
-            / self._artifact_name(key)
-        )
-
-    def _flat_path(self, key: str) -> pathlib.Path:
-        """The legacy single-directory location (pre-shard layout)."""
-        assert self.cache_dir is not None
-        return self.cache_dir / self._artifact_name(key)
+        return self.cache_dir / f"{key.replace(':', '.')}.npz"
 
     def _persist(self, artifact: ClosureArtifact) -> None:
         """Atomically write-through one artifact.
@@ -329,7 +241,6 @@ class ResultStore:
         stale temp file that no load path ever opens.
         """
         path = self._artifact_path(artifact.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
         try:
             with open(tmp, "wb") as handle:
@@ -351,10 +262,9 @@ class ResultStore:
         if plane is not None:
             plane.maybe_corrupt_file(path)
 
-    def _quarantine(self, path: pathlib.Path, shard: _Shard) -> None:
+    def _quarantine(self, path: pathlib.Path) -> None:
         """Move a bad archive aside (never served, never re-read) and count
-        it on its shard; the caller reports a miss so the engine
-        re-solves."""
+        it; the caller reports a miss so the engine re-solves."""
         target = path.with_suffix(path.suffix + ".quarantined")
         try:
             path.replace(target)
@@ -362,25 +272,21 @@ class ResultStore:
             # Even unlink-resistant corruption must not take the store
             # down; the miss path already triggers a re-solve.
             pass
-        shard.stats.quarantined += 1
+        self.stats.quarantined += 1
         _count("store.quarantined")
 
-    def _load_from_disk(self, key: str, shard: _Shard) -> Optional[ClosureArtifact]:
+    def _load_from_disk(self, key: str) -> Optional[ClosureArtifact]:
         if self.cache_dir is None:
             return None
         path = self._artifact_path(key)
         if not path.exists():
-            if self.num_shards == 1:
-                return None
-            # Back-compat: serve archives persisted by a flat-layout store.
-            path = self._flat_path(key)
-            if not path.exists():
-                return None
+            return None
         try:
             with np.load(path) as data:
                 version = str(data["version"])
                 if version != __version__:
-                    shard.stats.stale_discards += 1
+                    self.stats.stale_discards += 1
+                    _count("store.stale_discards")
                     return None
                 artifact = ClosureArtifact(
                     digest=str(data["digest"]),
@@ -392,9 +298,9 @@ class ResultStore:
                 )
                 stored = str(data["checksum"])
         except Exception:  # noqa: BLE001 — any parse failure means corruption
-            self._quarantine(path, shard)  # unreadable archive
+            self._quarantine(path)  # unreadable archive
             return None
         if stored != artifact_checksum(artifact):
-            self._quarantine(path, shard)  # checksum mismatch
+            self._quarantine(path)  # checksum mismatch
             return None
         return artifact

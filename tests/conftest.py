@@ -29,7 +29,7 @@ def pytest_configure(config):
     )
     config.addinivalue_line(
         "markers",
-        "scaleout: multi-process shared-memory equivalence suites"
+        "scaleout: multi-process sweep equivalence suites"
         " (tests/test_parallel_scaleout.py)",
     )
 

@@ -1,11 +1,10 @@
-"""Multi-process scale-out equivalence: the dispatched path is a no-op
+"""Multi-process sweep equivalence: the dispatched path is a no-op
 observationally.
 
 Everything here runs with real worker processes (2 workers — the CI
 ``scaleout`` lane's width) and asserts byte-identity against the in-process
-path: same rounds, same per-phase ledgers, same found pairs, same parent
-RNG stream position.  Platforms without working named shared memory skip
-the whole module gracefully.
+path: same distances, same rounds, same job outcomes.  Platforms without
+working named shared memory skip the whole module gracefully.
 """
 
 import numpy as np
@@ -14,7 +13,6 @@ import pytest
 import repro
 from repro import telemetry
 from repro.analysis.sweeps import sweep_apsp_batch, sweep_apsp_engine
-from repro.core.compute_pairs import compute_pairs
 from repro.parallel import (
     ClassDispatcher,
     LocalArena,
@@ -86,57 +84,20 @@ class TestShmArena:
         dispatcher.shutdown()
 
 
-def _solve(n: int, seed: int, workers: int):
-    graph = repro.random_undirected_graph(
-        n, density=0.5, max_weight=7, rng=seed
+def _sweep_weights(count: int, n: int = 8) -> np.ndarray:
+    return np.stack(
+        [
+            repro.random_digraph_no_negative_cycle(
+                n, density=0.5, max_weight=6, rng=seed
+            ).weights
+            for seed in range(count)
+        ]
     )
-    instance = repro.FindEdgesInstance(graph)
-    driver = np.random.default_rng(seed + 1000)
-    solution = compute_pairs(instance, rng=driver, workers=workers)
-    # Stream-position probe: dispatched runs must consume the parent
-    # generator identically, draw for draw.
-    probe = driver.integers(0, 2**63 - 1, size=4).tolist()
-    return solution, probe
-
-
-class TestDispatchedComputePairs:
-    @pytest.mark.parametrize("n", [16, 48, 128])
-    def test_byte_identical_to_in_process(self, n):
-        sequential, seq_probe = _solve(n, seed=5, workers=1)
-        dispatched, par_probe = _solve(n, seed=5, workers=WORKERS)
-        assert dispatched.pairs == sequential.pairs
-        assert dispatched.rounds == sequential.rounds
-        assert dispatched.ledger.snapshot() == sequential.ledger.snapshot()
-        assert dispatched.details == sequential.details
-        assert par_probe == seq_probe
-
-    def test_worker_telemetry_merges_into_parent(self):
-        with telemetry.collect() as collector:
-            _solve(16, seed=5, workers=WORKERS)
-            snapshot = collector.snapshot()
-        assert snapshot["workers"], "expected merged worker summaries"
-        assert all(
-            "pid" in summary and "phases" in summary
-            for summary in snapshot["workers"]
-        )
-        # The parent's own snapshot stays internally consistent...
-        assert telemetry_report.consistency_problems(snapshot) == []
-        # ...and the breakdown folds the workers' search phases in.
-        breakdown = telemetry_report.phase_breakdown(snapshot)
-        assert breakdown["workers"] == len(snapshot["workers"])
-        assert "step3.class" in breakdown["phases"]
 
 
 class TestBatchSweep:
     def test_batch_solve_matches_inline_and_direct(self):
-        weights = np.stack(
-            [
-                repro.random_digraph_no_negative_cycle(
-                    8, density=0.5, max_weight=6, rng=seed
-                ).weights
-                for seed in range(40)
-            ]
-        )
+        weights = _sweep_weights(40)
         inline = solve_weights_batch(weights, workers=1)
         parallel = solve_weights_batch(weights, workers=WORKERS)
         assert np.array_equal(inline.distances, parallel.distances)
@@ -151,6 +112,24 @@ class TestBatchSweep:
         assert np.array_equal(one.distances, two.distances)
         assert np.array_equal(one.rounds, two.rounds)
         assert two.workers == WORKERS
+
+    def test_worker_telemetry_merges_into_parent(self):
+        with telemetry.collect() as collector:
+            solve_weights_batch(
+                _sweep_weights(8), solver="quantum", workers=WORKERS
+            )
+            snapshot = collector.snapshot()
+        assert snapshot["workers"], "expected merged worker summaries"
+        assert all(
+            "pid" in summary and "phases" in summary
+            for summary in snapshot["workers"]
+        )
+        # The parent's own snapshot stays internally consistent...
+        assert telemetry_report.consistency_problems(snapshot) == []
+        # ...and the breakdown folds the workers' solve phases in.
+        breakdown = telemetry_report.phase_breakdown(snapshot)
+        assert breakdown["workers"] == len(snapshot["workers"])
+        assert "solver.solve" in breakdown["phases"]
 
 
 class TestJobEngineWorkers:
