@@ -121,9 +121,12 @@ def run_identify_class(
     pair_weights = instance.effective_pair_graph().weights
     scope = instance.effective_scope()
 
-    # Node u's local view of S: the partners v with {u, v} ∈ S.
+    # Node u's local view of S: the partners v with {u, v} ∈ S, ascending.
+    # Walking the canonical pairs in sorted order appends each vertex's
+    # smaller partners before its larger ones, so Λ(u)'s draws never depend
+    # on how the scope set happened to be built.
     partners: dict[int, list[int]] = defaultdict(list)
-    for u, v in scope:
+    for u, v in sorted(scope):
         partners[u].append(v)
         partners[v].append(u)
 

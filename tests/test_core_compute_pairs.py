@@ -1,5 +1,7 @@
 """Tests for Algorithm ComputePairs (Theorem 2)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,34 @@ class TestCorrectness:
         )
         solution = compute_pairs(instance, constants=TEST_CONSTANTS, rng=0)
         assert solution.pairs == set()
+
+
+class TestScopeConstructionIndependence:
+    @pytest.mark.parametrize("n, seed", [(32, 4), (64, 3)])
+    def test_equal_scopes_built_differently_give_identical_runs(self, n, seed):
+        # IdentifyClass samples Λ(u) over u's scope partners; their order
+        # must be canonical, not whatever order the scope set iterates in.
+        # A superset thinned in place keeps its large hash table, so it
+        # iterates differently from a plain copy of the same pairs.
+        graph = repro.random_undirected_graph(n, density=0.5, max_weight=7, rng=seed)
+        edges = set(graph.edge_pairs())
+        thinned = set(itertools.combinations(range(n), 2))
+        for pair in list(thinned):
+            if pair not in edges:
+                thinned.discard(pair)
+        assert thinned == edges
+        constants = PaperConstants(scale=0.5)
+        runs = [
+            compute_pairs(
+                FindEdgesInstance(graph, scope=scope), constants=constants, rng=seed
+            )
+            for scope in (set(edges), thinned)
+        ]
+        first, second = runs
+        assert first.rounds == second.rounds
+        assert first.ledger.snapshot() == second.ledger.snapshot()
+        assert first.pairs == second.pairs
+        assert first.details["total_searches"] == second.details["total_searches"]
 
 
 class TestRoundAccounting:

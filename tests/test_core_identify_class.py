@@ -162,7 +162,7 @@ def charge_via_broadcast_all(network, instance, constants, assignment, seed):
     n = instance.num_vertices
     weights = instance.effective_pair_graph().weights
     partners = defaultdict(list)
-    for u, v in instance.effective_scope():
+    for u, v in sorted(instance.effective_scope()):
         partners[u].append(v)
         partners[v].append(u)
     rate = constants.identify_rate(n)
