@@ -281,6 +281,7 @@ def test_smoke_e12_scheme_and_step2():
     cache: dict = {}
     env = step2_environment(n, 9, cache)
     node_pairs, coverage = _step2_sample(*env)
+    node_pairs = node_pairs.as_dict()
     ledger = env[0].ledger.snapshot()
     env = step2_environment(n, 9, cache)
     loop_pairs, loop_coverage = reference.step2_sample_loops(*env)

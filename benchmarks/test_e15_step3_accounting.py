@@ -4,8 +4,10 @@ What this regenerates: wall time of the three Step-3 setup stages —
 query-plan build, ``evaluation_rounds``, and ``BatchedMultiSearch`` lane
 setup — at ``n ∈ {81, 256, 1296}``, measured for the columnar/bulk forms
 (:func:`repro.core.quantum_step3.class_query_plan`,
-:func:`repro.core.evaluation.evaluation_rounds`,
-:meth:`~repro.quantum.batched.BatchedMultiSearch.add_lanes`) against the
+:func:`repro.core.evaluation.evaluation_rounds`, and
+:func:`repro.core.quantum_step3.register_class_lanes` — one
+:meth:`~repro.quantum.batched.BatchedMultiSearch.add_lanes` call per segment
+over its kept-cell table in the ``NodePairs`` CSR) against the
 dict-walking / per-label forms preserved in ``repro.core._reference``
 (``step3_domains_dicts`` + ``step3_query_plan_dicts``,
 ``evaluation_rounds_dicts``, per-label ``add``).  Round values must agree
@@ -42,11 +44,7 @@ from repro.core.evaluation import (
     evaluation_rounds,
 )
 from repro.core.identify_class import run_identify_class
-from repro.core.quantum_step3 import (
-    _SearchArrays,
-    class_query_plan,
-    register_class_lanes,
-)
+from repro.core.quantum_step3 import class_query_plan, register_class_lanes
 from repro.quantum.batched import BatchedMultiSearch
 from repro.util.rng import spawn_rng
 
@@ -57,8 +55,9 @@ SCALE = 0.05  # the SIMULATION regime full solves run at
 
 
 def build_step3_inputs(n: int, seed: int):
-    """Network, partitions, assignment, and node_pairs exactly as the full
-    pipeline hands them to Step 3 (steps 1–2 plus IdentifyClass)."""
+    """Network, partitions, assignment, and node_pairs (the NodePairs CSR)
+    exactly as the full pipeline hands them to Step 3 (steps 1–2 plus
+    IdentifyClass)."""
     graph = repro.random_undirected_graph(n, density=0.4, max_weight=6, rng=3)
     instance = repro.FindEdgesInstance(graph)
     constants = PaperConstants(scale=SCALE)
@@ -96,7 +95,7 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
         n, seed
     )
     alphas = sorted(set(assignment.classes.values()))
-    arrays = _SearchArrays.build(network, node_pairs)
+    label_dict = node_pairs.as_dict()
 
     plan_array_wall = plan_dict_wall = 0.0
     eval_array_wall = eval_dict_wall = 0.0
@@ -111,16 +110,16 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
         # --- query-plan build ------------------------------------------
         start = time.perf_counter()
         csr = assignment.domain_csr(
-            arrays.components[:, 0], arrays.components[:, 1], alpha,
+            node_pairs.labels[:, 0], node_pairs.labels[:, 1], alpha,
             partitions.num_coarse,
         )
-        plan = class_query_plan(network, arrays, csr, beta, dup)
+        plan = class_query_plan(network, node_pairs, csr, beta, dup)
         plan_array_wall += time.perf_counter() - start
 
         start = time.perf_counter()
-        domains = reference.step3_domains_dicts(assignment, node_pairs, alpha)
+        domains = reference.step3_domains_dicts(assignment, label_dict, alpha)
         query_plan = reference.step3_query_plan_dicts(
-            domains, node_pairs, beta, dup
+            domains, label_dict, beta, dup
         )
         plan_dict_wall += time.perf_counter() - start
         num_entries += len(plan)
@@ -147,7 +146,7 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
 
         # --- lane setup -------------------------------------------------
         counts, offsets, flat_blocks = csr
-        lane_indices = np.nonzero((counts > 0) & (arrays.num_pairs > 0))[0]
+        lane_indices = np.nonzero((counts > 0) & (node_pairs.num_pairs > 0))[0]
         if lane_indices.size == 0:
             continue
         num_lanes += int(lane_indices.size)
@@ -157,7 +156,7 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
 
         start = time.perf_counter()
         bulk = BatchedMultiSearch(batch_rng=seeds, beta=beta, eval_rounds=eval_r)
-        register_class_lanes(bulk, arrays, node_pairs, csr, lane_indices)
+        register_class_lanes(bulk, node_pairs, csr, lane_indices)
         lanes_bulk_wall += time.perf_counter() - start
 
         start = time.perf_counter()
@@ -165,9 +164,9 @@ def accounting_timings(n: int, seed: int = 7) -> dict:
             batch_rng=seeds, beta=beta, eval_rounds=eval_r
         )
         for label_ix in lane_indices.tolist():
-            label = arrays.keys[label_ix]
+            label = tuple(node_pairs.labels[label_ix].tolist())
             blocks = flat_blocks[offsets[label_ix]:offsets[label_ix + 1]]
-            table = node_pairs[label][2]
+            table = label_dict[label][2]
             per_label.add(label, int(blocks.size), table[:, blocks])
         lanes_add_wall += time.perf_counter() - start
         assert len(bulk) == len(per_label)
@@ -301,11 +300,11 @@ def test_e15_pr5_step3_speedup():
 
     lines = [
         "PR 5  array-backed Step-3 accounting: columnar query plans +",
-        "padded-lane BatchedMultiSearch.  Query plans are QueryPlan int64",
+        "bulk-lane BatchedMultiSearch.  Query plans are QueryPlan int64",
         "columns (src_phys, dst_phys, pair_counts) built by index arithmetic",
         "over the ClassAssignment domain CSR, loads reduce with np.bincount,",
-        "and lane setup is one add_lanes call per cache-sized chunk of the",
-        "padded witness-table stack — dict forms preserved in",
+        "and lane setup is one add_lanes call per segment over its kept-cell",
+        "table (the NodePairs CSR) — dict forms preserved in",
         "core/_reference.py, byte-identity in tests/test_step3_equivalence.py.",
         f"ComputePairs n=256 (quantum, scale={SCALE}): total "
         f"{total_wall:.2f} s, step2 {step2_cum:.2f} s "

@@ -429,7 +429,8 @@ def run_step3_loops(
     if search_mode not in ("quantum", "classical"):
         raise ValueError(f"unknown search_mode {search_mode!r}")
     generator = ensure_rng(rng)
-    report = Step3Report()
+    n = partitions.num_vertices
+    report = Step3Report(found=np.zeros((n, n), dtype=bool))
     all_alphas = sorted({alpha for alpha in assignment.classes.values()})
     for alpha in all_alphas:
         _run_class_loops(
@@ -512,7 +513,7 @@ def _run_class_loops(
             report.total_searches += len(pairs)
             for index in np.nonzero(hit)[0].tolist():
                 u, v = pairs[index]
-                report.found_pairs.add((int(u), int(v)))
+                report.found[u, v] = True
         network.charge_local(f"step3.alpha{alpha}.search", rounds)
         report.search_rounds_per_alpha[alpha] = rounds
         return
@@ -555,6 +556,6 @@ def _run_class_loops(
         phase_rounds = max(phase_rounds, result.rounds)
         for index in np.nonzero(result.found_mask())[0].tolist():
             u, v = pairs[index]
-            report.found_pairs.add((int(u), int(v)))
+            report.found[u, v] = True
     network.charge_local(f"step3.alpha{alpha}.search", phase_rounds)
     report.search_rounds_per_alpha[alpha] = phase_rounds

@@ -23,8 +23,6 @@ fresh randomness a bounded number of times, mirroring the paper's
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from repro.congest.batch import MessageBatch
@@ -35,7 +33,7 @@ from repro.core.constants import SIMULATION, PaperConstants
 from repro.core.evaluation import block_two_hop
 from repro.core.identify_class import run_identify_class
 from repro.core.problems import FindEdgesInstance, FindEdgesSolution
-from repro.core.quantum_step3 import run_step3
+from repro.core.quantum_step3 import NodePairs, run_step3
 from repro.errors import ConvergenceError, ProtocolAbortedError
 from repro import telemetry
 from repro.util.rng import RngLike, ensure_rng, spawn_rng
@@ -161,19 +159,21 @@ def _compute_pairs_once(
 
     # Node-local two-hop tables: what the triple nodes (u, v, ·) jointly
     # compute from the weights gathered in Step 1 (free: local computation).
+    # The witness weights are symmetric, so the (bv, bu) table is the
+    # transposed (bu, bv) one — each unordered block pair is computed once.
     fine_blocks = partitions.fine.blocks()
     cache: dict[tuple[int, int], np.ndarray] = {}
 
     def two_hop_for(bu: int, bv: int) -> np.ndarray:
-        key = (bu, bv)
+        key = (min(bu, bv), max(bu, bv))
         if key not in cache:
             cache[key] = block_two_hop(
                 witness,
-                partitions.coarse.block(bu),
-                partitions.coarse.block(bv),
+                partitions.coarse.block(key[0]),
+                partitions.coarse.block(key[1]),
                 fine_blocks,
             )
-        return cache[key]
+        return cache[key] if bu <= bv else cache[key].transpose(1, 0, 2)
 
     with telemetry.span("compute_pairs.step2_sample", n=n):
         node_pairs, coverage = _step2_sample(
@@ -199,8 +199,8 @@ def _compute_pairs_once(
 
     details = {
         "coverage": coverage,
-        "num_search_nodes": len(node_pairs),
-        "total_kept_pairs": int(sum(len(p) for p, _, _ in node_pairs.values())),
+        "num_search_nodes": len(node_pairs.labels),
+        "total_kept_pairs": int(node_pairs.offsets[-1]),
         "classes": sorted(set(assignment.classes.values())),
         "eval_rounds_per_alpha": step3.eval_rounds_per_alpha,
         "search_rounds_per_alpha": step3.search_rounds_per_alpha,
@@ -210,7 +210,7 @@ def _compute_pairs_once(
         "total_searches": step3.total_searches,
     }
     return FindEdgesSolution(
-        pairs=step3.found_pairs,
+        step3.found,
         rounds=network.ledger.total,
         ledger=network.ledger,
         details=details,
@@ -336,14 +336,17 @@ def _step2_sample(
 
     Balance (Lemma 2 (i)) and owner loads are per-vertex counts along the
     cube's axes.  The per-pair work — eligibility, pair weight and the
-    witness truth row — is done once per block cell on ``(|U|, |V|)``
-    slices, not once per ``(x, pair)`` sample; the samples then only
-    gather from it.
+    witness truth row — is done once per kept block cell, not once per
+    ``(x, pair)`` sample; each sample only records its cell's row.
 
-    Returns ``(node_pairs, coverage)`` where ``node_pairs`` maps each search
-    label to ``(pairs, weights, witness_table)`` for its kept (in-scope)
-    pairs, and ``coverage`` is the fraction of in-scope pairs covered by at
-    least one ``Λx`` set (Lemma 2 (ii) says it is 1 w.h.p.).
+    Returns ``(node_pairs, coverage)``.  ``node_pairs`` is the
+    :class:`~repro.core.quantum_step3.NodePairs` CSR of every search label's
+    kept (in-scope, finite-weight) samples: label offsets into a column of
+    kept-cell rows, plus one canonical pair, pair weight and witness truth
+    row per kept cell — a segment's ``x`` that sample the same cell share
+    its row (at rate 1, all ``F`` of them).  ``coverage`` is the fraction of
+    in-scope pairs covered by at least one ``Λx`` set (Lemma 2 (ii) says it
+    is 1 w.h.p.).
 
     The per-segment uniforms come from :class:`_BatchedUniforms` — a few
     large generator calls instead of one per segment — with byte-identical
@@ -354,20 +357,13 @@ def _step2_sample(
     n = instance.num_vertices
     rate = constants.lambda_rate(n)
     balance = constants.balance_bound(n)
-    scope = instance.effective_scope()
     pair_weights = instance.effective_pair_graph().weights
     num_coarse = partitions.num_coarse
     num_fine = partitions.num_fine
 
-    # Scope membership and eligibility as boolean matrices over canonical
-    # (sorted) pair positions; the scope's pair tuples flatten in one pass.
-    scope_mask = np.zeros((n, n), dtype=bool)
-    if scope:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(scope), dtype=np.int64, count=2 * len(scope)
-        )
-        scope_mask[flat[0::2], flat[1::2]] = True
-    eligible_mask = scope_mask & np.isfinite(pair_weights)
+    # Eligibility as a boolean matrix over canonical (sorted) pair
+    # positions: the scope's pair mask, restricted to finite pair weights.
+    eligible_mask = instance.scope_mask() & np.isfinite(pair_weights)
     covered_mask = np.zeros((n, n), dtype=bool)
 
     starts = partitions.coarse.block_starts()
@@ -375,7 +371,13 @@ def _step2_sample(
     request_nodes: list[np.ndarray] = []
     request_owners: list[np.ndarray] = []
     request_counts: list[np.ndarray] = []
-    node_pairs: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    segments: list[tuple[int, int]] = []
+    label_counts: list[np.ndarray] = []
+    sample_rows: list[np.ndarray] = []
+    cell_pairs: list[np.ndarray] = []
+    cell_weights: list[np.ndarray] = []
+    cell_tables: list[np.ndarray] = []
+    num_rows = 0
 
     seg_sizes = sizes.astype(np.int64)
     seg_counts = seg_sizes[:, None] * seg_sizes[None, :]
@@ -428,48 +430,41 @@ def _step2_sample(
             request_owners.append(owner_start + owner_local)
             request_counts.append(per_owner[owner_x, owner_local])
 
-            # Per-cell work, once per segment: eligibility, pair weight and
-            # coverage as (|U|, |V|) views in cube orientation.
+            # Per-cell work, once per kept cell: eligibility, coverage, and
+            # the pair, weight and witness truth row of every cell that at
+            # least one x kept.  table[c, w] = True iff fine block w holds a
+            # witness closing a negative triangle with the cell's pair:
+            # min_{w∈w}(f(a,w) + f(w,b)) < −f(a,b); the two-hop tensor is
+            # indexed [U vertex, V vertex], the cube's orientation.
             weights = _cube_view(pair_weights, rows_u, rows_v)
             kept = cube & _cube_view(eligible_mask, rows_u, rows_v)
+            kept_cells = kept.any(axis=0)
             covered = _cube_view(covered_mask, rows_u, rows_v)
-            covered |= kept.any(axis=0)
+            covered |= kept_cells
 
-            # Per-sample work: gather the kept samples' pairs, weights and
-            # witness rows by cell index.  The flat sample index is x-major
-            # (sample order), so each x owns one contiguous slice.
-            # table[ℓ, w] = True iff fine block w contains a witness closing
-            # a negative triangle with pair ℓ: min_{w∈w}(f(a,w) + f(w,b)) <
-            # −f(a,b); the two-hop tensor is indexed [U vertex, V vertex],
-            # the cube's orientation.
+            # Per-sample work: each kept sample's cell row.  The flat sample
+            # index is x-major (sample order), so each x owns one
+            # contiguous slice.
             num_cells = size_u * size_v
             samples = np.flatnonzero(kept)
-            cells = samples % num_cells
             x_bounds = np.searchsorted(samples, np.arange(num_fine + 1) * num_cells)
+            segments.append((bu, bv))
+            label_counts.append(np.diff(x_bounds))
             if samples.size:
-                cell_u = np.repeat(np.arange(rows_u.start, rows_u.stop), size_v)
-                cell_v = np.tile(np.arange(rows_v.start, rows_v.stop), size_u)
-                cell_pairs = np.stack(
-                    [cell_v, cell_u] if bu > bv else [cell_u, cell_v], axis=1
+                cell_ids = np.flatnonzero(kept_cells)
+                a = rows_u.start + cell_ids // size_v
+                b = rows_v.start + cell_ids % size_v
+                cell_pairs.append(np.stack([b, a] if bu > bv else [a, b], axis=1))
+                weight = weights.ravel()[cell_ids]
+                cell_weights.append(weight)
+                cell_tables.append(
+                    two_hop_for(bu, bv)[cell_ids // size_v, cell_ids % size_v]
+                    < -weight[:, None]
                 )
-                witness = two_hop_for(bu, bv) < -weights[..., None]
-                kept_pairs = np.take(cell_pairs, cells, axis=0)
-                kept_weights = np.take(weights.ravel(), cells)
-                tables = np.take(witness.reshape(num_cells, num_fine), cells, axis=0)
-            else:
-                kept_pairs = np.empty((0, 2), dtype=np.int64)
-                kept_weights = np.empty(0, dtype=pair_weights.dtype)
-                tables = np.empty((0, num_fine), dtype=bool)
-
-            # Per-label views; labels whose Λx is empty or fully filtered
-            # get canonical empty views.
-            for x in range(num_fine):
-                x_lo, x_hi = int(x_bounds[x]), int(x_bounds[x + 1])
-                node_pairs[(bu, bv, x)] = (
-                    kept_pairs[x_lo:x_hi],
-                    kept_weights[x_lo:x_hi],
-                    tables[x_lo:x_hi],
+                sample_rows.append(
+                    num_rows + np.searchsorted(cell_ids, samples % num_cells)
                 )
+                num_rows += cell_ids.size
 
     if request_nodes:
         nodes = np.concatenate(request_nodes)
@@ -491,5 +486,23 @@ def _step2_sample(
         1.0
         if num_eligible == 0
         else int(np.count_nonzero(covered_mask & eligible_mask)) / num_eligible
+    )
+    seg = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
+    offsets = np.zeros(seg.shape[0] * num_fine + 1, dtype=np.int64)
+    if label_counts:
+        np.cumsum(np.concatenate(label_counts), out=offsets[1:])
+
+    def column(parts: list[np.ndarray], empty: np.ndarray) -> np.ndarray:
+        return np.concatenate(parts) if parts else empty
+
+    node_pairs = NodePairs(
+        labels=np.column_stack(
+            [np.repeat(seg, num_fine, axis=0), np.tile(np.arange(num_fine), seg.shape[0])]
+        ),
+        offsets=offsets,
+        rows=column(sample_rows, np.empty(0, dtype=np.int64)),
+        pairs=column(cell_pairs, np.empty((0, 2), dtype=np.int64)),
+        weights=column(cell_weights, np.empty(0, dtype=pair_weights.dtype)),
+        tables=column(cell_tables, np.empty((0, num_fine), dtype=bool)),
     )
     return node_pairs, coverage

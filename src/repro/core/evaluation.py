@@ -56,16 +56,16 @@ def block_two_hop(
     Shape ``(len(block_u), len(block_v), len(fine_blocks))``; entries are
     ``+inf`` where no witness path exists.
     """
-    size_u = len(block_u)
-    size_v = len(block_v)
-    out = np.empty((size_u, size_v, len(fine_blocks)))
-    rows_u = weights[np.ix_(block_u, np.arange(weights.shape[0]))]
+    layers = np.empty((len(fine_blocks), len(block_u), len(block_v)))
+    rows_u = weights[block_u]
+    cols_v = weights[:, block_v]
     for index, fine in enumerate(fine_blocks):
-        left = rows_u[:, fine]                      # (|u|, |w|)
-        right = weights[np.ix_(fine, block_v)]      # (|w|, |v|)
-        # (|u|, |w|, 1) + (1, |w|, |v|) → min over the witness axis.
-        out[:, :, index] = (left[:, :, None] + right[None, :, :]).min(axis=1)
-    return out
+        left = rows_u[:, fine].T                    # (|w|, |u|)
+        right = cols_v[fine]                        # (|w|, |v|)
+        # (|w|, |u|, 1) + (|w|, 1, |v|) → min over the leading witness axis,
+        # a reduction over contiguous (|u|, |v|) slabs.
+        np.min(left[:, :, None] + right[:, None, :], axis=0, out=layers[index])
+    return layers.transpose(1, 2, 0)
 
 
 def duplication_count(constants: PaperConstants, n: int, alpha: int) -> int:

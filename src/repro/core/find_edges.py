@@ -34,9 +34,7 @@ class ReferenceFindEdges:
     """
 
     def find_edges(self, instance: FindEdgesInstance) -> FindEdgesSolution:
-        return FindEdgesSolution(
-            pairs=instance.reference_solution(), rounds=0.0
-        )
+        return FindEdgesSolution(instance.reference_mask(), rounds=0.0)
 
 
 class QuantumFindEdges:
@@ -73,8 +71,10 @@ class QuantumFindEdges:
         n = instance.num_vertices
         constants = self.constants
         pair_graph = instance.effective_pair_graph()
-        remaining = set(instance.effective_scope())
-        found: set[tuple[int, int]] = set()
+        # Scope and findings stay pair masks throughout; each sub-instance
+        # gets the current mask, which is replaced (never mutated) below.
+        remaining = instance.scope_mask()
+        found = np.zeros_like(remaining)
         ledger = RoundLedger()
         aborts = 0
         calls = 0
@@ -84,27 +84,28 @@ class QuantumFindEdges:
             probability = constants.findedges_sample_probability(n, iteration)
             sampled_graph = self._sample_edges(instance, probability)
             sub_instance = FindEdgesInstance(
-                sampled_graph, scope=set(remaining), pair_graph=pair_graph
+                sampled_graph, scope=remaining, pair_graph=pair_graph
             )
             solution = self._solve_promise(sub_instance)
             ledger.merge(solution.ledger, prefix=f"findedges.loop{iteration}.")
             aborts += solution.aborts
             calls += 1
-            found |= solution.pairs
-            remaining -= solution.pairs
+            hits = solution.pair_mask(n)
+            found |= hits
+            remaining = remaining & ~hits
             iteration += 1
 
         final_instance = FindEdgesInstance(
-            instance.graph, scope=set(remaining), pair_graph=pair_graph
+            instance.graph, scope=remaining, pair_graph=pair_graph
         )
         solution = self._solve_promise(final_instance)
         ledger.merge(solution.ledger, prefix="findedges.final.")
         aborts += solution.aborts
         calls += 1
-        found |= solution.pairs
+        found |= solution.pair_mask(n)
 
         return FindEdgesSolution(
-            pairs=found,
+            found,
             rounds=ledger.total,
             ledger=ledger,
             aborts=aborts,

@@ -119,94 +119,79 @@ def run_identify_class(
     generator = ensure_rng(rng)
     n = instance.num_vertices
     pair_weights = instance.effective_pair_graph().weights
-    scope = instance.effective_scope()
+    scope = instance.scope_mask()
 
-    # Node u's local view of S: the partners v with {u, v} ∈ S, ascending.
-    # Walking the canonical pairs in sorted order appends each vertex's
-    # smaller partners before its larger ones, so Λ(u)'s draws never depend
-    # on how the scope set happened to be built.
-    partners: dict[int, list[int]] = defaultdict(list)
-    for u, v in sorted(scope):
-        partners[u].append(v)
-        partners[v].append(u)
+    # Node u's local view of S as one per-vertex CSR: the row-major nonzero
+    # of the symmetric scope mask lists every vertex's partners v with
+    # {u, v} ∈ S, ascending — canonical, whatever order the scope was
+    # built in.
+    part_u, part_v = np.nonzero(scope | scope.T)
 
-    # Step 1: sample Λ(u) per node; abort on oversize.
+    # Step 1: sample Λ(u) per node; abort on oversize.  Node u draws deg(u)
+    # uniforms, vertex by vertex; Generator.random fills sequentially, so
+    # one draw of the concatenation yields exactly those variates.
     rate = constants.identify_rate(n)
     abort_bound = constants.identify_abort_bound(n)
-    sampled: dict[int, np.ndarray] = {}
-    for u in range(n):
-        own = np.asarray(partners.get(u, ()), dtype=np.int64)
-        if own.size == 0:
-            continue
-        mask = generator.random(own.size) < rate
-        chosen = own[mask]
-        if chosen.size > abort_bound:
-            raise ProtocolAbortedError(
-                "identify_class",
-                f"|Λ({u})| = {chosen.size} exceeds bound {abort_bound:.1f}",
-            )
-        if chosen.size:
-            sampled[u] = chosen
+    chosen = generator.random(part_u.size) < rate
+    sizes = np.bincount(part_u[chosen], minlength=n)
+    oversized = np.flatnonzero(sizes > abort_bound)
+    if oversized.size:
+        u = int(oversized[0])
+        raise ProtocolAbortedError(
+            "identify_class",
+            f"|Λ({u})| = {int(sizes[u])} exceeds bound {abort_bound:.1f}",
+        )
 
     # Broadcast R: each broadcaster ships (partner id, pair weight) tuples,
     # two words per sample.  Every node then knows R, which the simulator
     # assembles directly below, so the broadcast is charged payload-free
     # (base positions are vertex ids).
+    broadcasters = np.flatnonzero(sizes)
     network.broadcast_volume(
-        np.fromiter(sampled.keys(), dtype=np.int64, count=len(sampled)),
-        np.fromiter(
-            (2 * chosen.size for chosen in sampled.values()),
-            dtype=np.int64,
-            count=len(sampled),
-        ),
-        "identify_class.broadcast_samples",
+        broadcasters, 2 * sizes[broadcasters], "identify_class.broadcast_samples"
     )
 
-    # Assemble R (globally known after the broadcast), grouped by the coarse
-    # block pair that owns each sampled pair.
+    # Assemble R (globally known after the broadcast): each sampled pair
+    # once, canonical a < b.  The triple nodes (bu, bv, ·) and (bv, bu, ·)
+    # each count a cross-block pair (P(u, v) is unordered), so those pairs
+    # register under both orientations.
+    low = np.minimum(part_u[chosen], part_v[chosen])
+    high = np.maximum(part_u[chosen], part_v[chosen])
+    keys = np.unique(low * n + high)
+    a, b = keys // n, keys % n
     coarse_of = partitions.coarse.block_index_array()
-    coarse_start = {
-        index: int(block[0]) for index, block in enumerate(partitions.coarse.blocks())
-    }
-    by_block_pair: dict[tuple[int, int], list[tuple[int, int, float]]] = defaultdict(list)
-    seen: set[tuple[int, int]] = set()
-    for u, chosen in sampled.items():
-        for v in chosen.tolist():
-            a, b = (u, v) if u < v else (v, u)
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            weight = float(pair_weights[a, b])
-            bu, bv = int(coarse_of[a]), int(coarse_of[b])
-            # Register under both orientations: the triple nodes (bu, bv, ·)
-            # and (bv, bu, ·) each count the pair (P(u, v) is unordered).
-            by_block_pair[(bu, bv)].append((a, b, weight))
-            if bu != bv:
-                by_block_pair[(bv, bu)].append((b, a, weight))
+    cross = coarse_of[a] != coarse_of[b]
+    rows = np.concatenate([a, b[cross]])
+    cols = np.concatenate([b, a[cross]])
+    weights = pair_weights[rows, cols]
+    num_coarse = partitions.num_coarse
+    block_pair = coarse_of[rows] * num_coarse + coarse_of[cols]
+    starts = partitions.coarse.block_starts()
 
     # Step 2 (local): every triple node computes d_{uvw} and its class.
+    counts = np.zeros((num_coarse * num_coarse, partitions.num_fine), dtype=np.int64)
+    for pair_id in np.unique(block_pair).tolist():
+        bu, bv = divmod(pair_id, num_coarse)
+        entries = block_pair == pair_id
+        # (entries, num_fine): does block w witness pair (a, b)?
+        hits = two_hop_for(bu, bv)[
+            rows[entries] - starts[bu], cols[entries] - starts[bv], :
+        ] < -weights[entries, None]
+        counts[pair_id] = hits.sum(axis=0)
+    estimates, inverse = np.unique(counts.ravel(), return_inverse=True)
+    alphas = np.array(
+        [_class_of(float(estimate), n, constants) for estimate in estimates.tolist()],
+        dtype=np.int64,
+    )[inverse].reshape(counts.shape)
     classes: dict[tuple[int, int, int], int] = {}
     t_alpha: dict[tuple[int, int], dict[int, list[int]]] = {}
-    num_fine = partitions.num_fine
-    for bu in range(partitions.num_coarse):
-        for bv in range(partitions.num_coarse):
-            entries = by_block_pair.get((bu, bv), ())
-            per_alpha: dict[int, list[int]] = defaultdict(list)
-            if entries:
-                two_hop = two_hop_for(bu, bv)
-                rows = np.array([a - coarse_start[bu] for a, _, _ in entries])
-                cols = np.array([b - coarse_start[bv] for _, b, _ in entries])
-                weights = np.array([w for _, _, w in entries])
-                # (num_entries, num_fine): does block w witness pair (a, b)?
-                hits = two_hop[rows, cols, :] < -weights[:, None]
-                counts = hits.sum(axis=0)
-            else:
-                counts = np.zeros(num_fine, dtype=np.int64)
-            for bw in range(num_fine):
-                alpha = _class_of(float(counts[bw]), n, constants)
-                classes[(bu, bv, bw)] = alpha
-                per_alpha[alpha].append(bw)
-            t_alpha[(bu, bv)] = dict(per_alpha)
+    for pair_id, row in enumerate(alphas.tolist()):
+        bu, bv = divmod(pair_id, num_coarse)
+        per_alpha: dict[int, list[int]] = defaultdict(list)
+        for bw, alpha in enumerate(row):
+            classes[(bu, bv, bw)] = alpha
+            per_alpha[alpha].append(bw)
+        t_alpha[(bu, bv)] = dict(per_alpha)
 
     # Every triple node announces its (single-word) class so that search
     # nodes know each Tα[u, v] — which ``t_alpha`` already holds, so the
@@ -226,7 +211,7 @@ def run_identify_class(
     )
 
     return ClassAssignment(
-        classes=classes, t_alpha=t_alpha, sample_size=len(seen)
+        classes=classes, t_alpha=t_alpha, sample_size=int(keys.size)
     )
 
 

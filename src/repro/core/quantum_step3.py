@@ -13,9 +13,8 @@ cost measured from the procedure's actual message pattern.
 Since PR 5 the per-class accounting and lane setup are pure index
 arithmetic, end to end:
 
-* the search labels, their pair counts and their physical hosts live in one
-  :class:`_SearchArrays` column set (label positions resolved in bulk by
-  ``SchemeView.positions_of_array``);
+* the search labels and their pair counts are :class:`NodePairs` columns
+  (label positions resolved in bulk by ``SchemeView.positions_of_array``);
 * the per-node domains are the CSR of
   :meth:`~repro.core.identify_class.ClassAssignment.domain_csr` —
   label offsets plus flat fine-block ids, no per-label dict;
@@ -23,13 +22,21 @@ arithmetic, end to end:
   :class:`~repro.core.evaluation.QueryPlan` built by ``repeat``/``stack``
   over the CSR (duplication destinations via
   ``ProductLabels.positions_of``), with loads reduced by ``np.bincount``;
-* the per-node searches register in bulk:
-  :meth:`repro.quantum.batched.BatchedMultiSearch.add_lanes` consumes a
-  padded 3-D witness-table stack (built in cache-sized chunks), and one
-  batched seed column seeds the class's batch generator.
+* Step 2 hands over :class:`NodePairs`, one CSR over the search labels:
+  label offsets into a sample column of *kept-cell* rows, and one pair,
+  weight and witness-table row per kept cell (a pair that at least one
+  ``x`` of its segment kept — at rate 1, all ``F`` of them share it);
+* the per-node searches register in bulk, one
+  :meth:`repro.quantum.batched.BatchedMultiSearch.add_lanes` call per
+  segment: the segment's kept cells restricted to the class domain form
+  the cell table, whose solution counts and item column are computed once
+  per cell and gathered per sample, and one batched seed column seeds the
+  class's batch generator;
+* found pairs leave as a pair mask (:mod:`repro.core.problems`), with no
+  tuple built.
 
 The per-label dict forms survive in :mod:`repro.core._reference`
-(``run_step3_loops`` and friends) and ``tests/test_step3_equivalence.py``
+(``run_step3_loops`` and friends, fed :meth:`NodePairs.as_dict`) and ``tests/test_step3_equivalence.py``
 property-tests the two drivers byte-identical — rounds, per-node loads,
 RNG streams, and found pairs.
 
@@ -46,7 +53,6 @@ repetition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -61,6 +67,7 @@ from repro.core.evaluation import (
     step0_duplication_loads,
 )
 from repro.core.identify_class import ClassAssignment
+from repro.core.problems import mask_pairs
 from repro.errors import NetworkError
 from repro import telemetry
 from repro.quantum.amplitude import max_iterations
@@ -68,41 +75,55 @@ from repro.quantum.batched import BatchedMultiSearch
 from repro.util.mathutil import guarded_log
 from repro.util.rng import ensure_rng
 
-#: Per-node search payload: canonical pairs (k, 2), their weights (k,) and
-#: their witness truth table over all fine blocks (k, num_fine).
-NodePairs = Mapping[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-#: Element budget of one padded witness-table chunk handed to
-#: ``BatchedMultiSearch.add_lanes`` — keeps the (lanes, max_m, max_X) bool
-#: stack (and the nnz-sized CSR outputs derived from it) cache-resident
-#: instead of materializing one class-wide block.
-_LANE_CHUNK_CELLS = 1 << 20
+@dataclass
+class NodePairs:
+    """Step 2's kept pairs of every search label, as one CSR.
 
-
-def found_pair_set(
-    found_chunks: Sequence[np.ndarray], num_vertices: int
-) -> set[tuple[int, int]]:
-    """The distinct ``(a, b)`` rows of a class's found-pair chunks.
-
-    Many lanes find the same pair, so the rows are collapsed through a flat
-    ``a·n + b`` boolean mask before any Python tuple is built (``tolist``
-    yields Python ints, so the tuples match per-pair adds).  The mask is
-    linear in ``n²`` and sort-free, unlike ``np.unique(axis=0)``.
+    Search label ``l`` is ``labels[l] = (bu, bv, x)``, segment-major (the
+    search scheme's order, which every per-label loop used).  Its kept
+    samples are ``rows[offsets[l] : offsets[l + 1]]``, each the row of a
+    *kept cell* — a pair that at least one ``x`` of its segment kept —
+    whose canonical pair (``a < b``), pair weight and witness truth row over
+    all fine blocks are ``pairs``, ``weights`` and ``tables`` at that row
+    (``tables[c, w]``: fine block ``w`` holds a witness closing a negative
+    triangle with the pair).  Each segment's kept cells are one contiguous
+    row range, so the per-pair work is done once per cell however many
+    ``x`` sampled it.
     """
-    if not found_chunks:
-        return set()
-    found = np.concatenate(found_chunks).reshape(-1, 2)
-    seen = np.zeros(num_vertices * num_vertices, dtype=bool)
-    seen[found[:, 0] * num_vertices + found[:, 1]] = True
-    keys = np.flatnonzero(seen)
-    return set(zip((keys // num_vertices).tolist(), (keys % num_vertices).tolist()))
+
+    labels: np.ndarray    # (L, 3) int64
+    offsets: np.ndarray   # (L + 1,) int64
+    rows: np.ndarray      # (K,) int64 kept-cell row of each sample
+    pairs: np.ndarray     # (C, 2) int64
+    weights: np.ndarray   # (C,)
+    tables: np.ndarray    # (C, F) bool
+
+    @property
+    def num_pairs(self) -> np.ndarray:
+        """Kept pairs per label."""
+        return np.diff(self.offsets)
+
+    def entry(self, index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Label ``index``'s ``(pairs, weights, witness_table)``."""
+        rows = self.rows[self.offsets[index]:self.offsets[index + 1]]
+        return self.pairs[rows], self.weights[rows], self.tables[rows]
+
+    def as_dict(self) -> dict:
+        """The per-label dict view the loop forms of
+        :mod:`repro.core._reference` take."""
+        return {
+            tuple(label): self.entry(index)
+            for index, label in enumerate(self.labels.tolist())
+        }
 
 
 @dataclass
 class Step3Report:
-    """Diagnostics of the search phase."""
+    """Diagnostics of the search phase; ``found`` is the pair mask of the
+    detected pairs."""
 
-    found_pairs: set[tuple[int, int]] = field(default_factory=set)
+    found: np.ndarray
     eval_rounds_per_alpha: dict[int, float] = field(default_factory=dict)
     search_rounds_per_alpha: dict[int, float] = field(default_factory=dict)
     duplication_per_alpha: dict[int, int] = field(default_factory=dict)
@@ -110,61 +131,30 @@ class Step3Report:
     corrupted_repetitions: int = 0
     total_searches: int = 0
 
+    @property
+    def found_pairs(self) -> set[tuple[int, int]]:
+        return mask_pairs(self.found)
 
-@dataclass
-class _SearchArrays:
-    """Columnar view of the search labels: one row per ``node_pairs`` key
-    (in dict order — the order every per-label loop used), with the pair
-    counts and the labels' physical hosts resolved in bulk."""
-
-    keys: list
-    components: np.ndarray   # (L, 3) int64 label rows
-    num_pairs: np.ndarray    # (L,) kept pairs per label
-    physical: np.ndarray     # (L,) physical host of each search label
-
-    @classmethod
-    def build(cls, network: CongestClique, node_pairs: NodePairs) -> "_SearchArrays":
-        keys = list(node_pairs)
-        components = np.asarray(keys, dtype=np.int64).reshape(len(keys), 3)
-        num_pairs = np.fromiter(
-            (len(node_pairs[key][0]) for key in keys),
-            dtype=np.int64,
-            count=len(keys),
-        )
-        view = network.scheme("search")
-        positions = view.positions_of_array(components)
-        return cls(keys, components, num_pairs, positions % view.num_nodes)
+    def mark_found(self, node_pairs: NodePairs, rows: list[np.ndarray]) -> None:
+        """Record the pairs of the found kept-cell rows."""
+        if rows:
+            pairs = node_pairs.pairs[np.concatenate(rows)]
+            self.found[pairs[:, 0], pairs[:, 1]] = True
 
 
-class _TripleArrays:
-    """Lazily built columnar view of the class assignment: the triple label
-    rows (in ``assignment.classes`` dict order, which fixes the duplication
-    schemes' label order), their class values, and their positions in the
-    triple scheme."""
-
-    def __init__(self, network: CongestClique, assignment: ClassAssignment) -> None:
-        self._network = network
-        self._assignment = assignment
-        self._built = False
-        self.rows: np.ndarray | None = None
-        self.values: np.ndarray | None = None
-        self.positions: np.ndarray | None = None
-        self.scheme_size = 0
-
-    def ensure(self) -> "_TripleArrays":
-        if not self._built:
-            classes = self._assignment.classes
-            self.rows = np.asarray(list(classes.keys()), dtype=np.int64).reshape(
-                len(classes), 3
-            )
-            self.values = np.fromiter(
-                classes.values(), dtype=np.int64, count=len(classes)
-            )
-            view = self._network.scheme("triple")
-            self.positions = view.positions_of_array(self.rows)
-            self.scheme_size = len(view)
-            self._built = True
-        return self
+def _triple_columns(network: CongestClique, assignment: ClassAssignment):
+    """The triple label rows (in ``assignment.classes`` dict order, which
+    fixes the duplication schemes' label order), their class values, their
+    triple-scheme positions and the scheme size."""
+    classes = assignment.classes
+    rows = np.asarray(list(classes), dtype=np.int64).reshape(len(classes), 3)
+    view = network.scheme("triple")
+    return (
+        rows,
+        np.fromiter(classes.values(), dtype=np.int64, count=len(classes)),
+        view.positions_of_array(rows),
+        len(view),
+    )
 
 
 def run_step3(
@@ -180,10 +170,9 @@ def run_step3(
 ) -> Step3Report:
     """Execute Step 3 and return the union of detected pairs.
 
-    ``node_pairs[(bu, bv, x)] = (pairs, weights, witness_table)`` where
-    ``witness_table[ℓ, w]`` says whether fine block ``w`` contains a witness
-    for pair ``ℓ`` — the truth tables the evaluation procedure would compute
-    (see the simulation contract in :mod:`repro.quantum.distributed`).
+    ``node_pairs`` is Step 2's :class:`NodePairs` CSR; its witness tables
+    are the truth tables the evaluation procedure would compute (see the
+    simulation contract in :mod:`repro.quantum.distributed`).
 
     ``search_mode`` selects ``"quantum"`` (Grover, ``O(√|X|)`` evaluations)
     or ``"classical"`` (linear scan over ``X``, ``|X|`` evaluations) — the
@@ -197,9 +186,8 @@ def run_step3(
     if search_mode not in ("quantum", "classical"):
         raise ValueError(f"unknown search_mode {search_mode!r}")
     generator = ensure_rng(rng)
-    report = Step3Report()
-    arrays = _SearchArrays.build(network, node_pairs)
-    triples = _TripleArrays(network, assignment)
+    n = partitions.num_vertices
+    report = Step3Report(found=np.zeros((n, n), dtype=bool))
 
     for alpha in sorted(set(assignment.classes.values())):
         with telemetry.span("step3.class", alpha=alpha, mode=search_mode):
@@ -209,8 +197,6 @@ def run_step3(
                 constants,
                 assignment,
                 node_pairs,
-                arrays,
-                triples,
                 alpha,
                 report,
                 generator,
@@ -222,7 +208,7 @@ def run_step3(
 
 def class_query_plan(
     network: CongestClique,
-    arrays: _SearchArrays,
+    node_pairs: NodePairs,
     domain_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     beta: float,
     dup: int,
@@ -236,24 +222,30 @@ def class_query_plan(
     duplicates for ``α > 0``, destinations resolved through ``prefix_of``,
     the triple-position → duplication-prefix map).  ``per_dest`` is the
     Fig. 4 pair budget ``min(num_pairs, ⌈β⌉)``, split ``⌈per_dest/dup⌉``
-    per duplicate by Fig. 5.  The dict-of-dicts form survives as
+    per duplicate by Fig. 5.  Label positions resolve in bulk through
+    ``SchemeView.positions_of_array``.  The dict-of-dicts form survives as
     :func:`repro.core._reference.step3_query_plan_dicts`.
     """
     counts, offsets, flat_blocks = domain_csr
-    queried = (counts > 0) & (arrays.num_pairs > 0)
-    per_dest = np.minimum(arrays.num_pairs[queried], int(np.ceil(beta)))
+    num_pairs = node_pairs.num_pairs
+    queried = (counts > 0) & (num_pairs > 0)
+    labels = node_pairs.labels[queried]
+    per_dest = np.minimum(num_pairs[queried], int(np.ceil(beta)))
     queried_counts = counts[queried]
     flat_ix = expand_ranges(offsets[:-1][queried], queried_counts)
     dest_rows = np.stack(
         [
-            np.repeat(arrays.components[queried, 0], queried_counts),
-            np.repeat(arrays.components[queried, 1], queried_counts),
+            np.repeat(labels[:, 0], queried_counts),
+            np.repeat(labels[:, 1], queried_counts),
             flat_blocks[flat_ix],
         ],
         axis=1,
     )
     triple_positions = network.scheme("triple").positions_of_array(dest_rows)
-    entry_src = np.repeat(arrays.physical[queried], queried_counts)
+    search = network.scheme("search")
+    entry_src = np.repeat(
+        search.positions_of_array(labels) % search.num_nodes, queried_counts
+    )
     if dup > 1:
         if prefix_of is None:
             raise NetworkError("duplicated query plan needs the prefix map")
@@ -281,8 +273,7 @@ def _class_prelude(
     partitions: CliquePartitions,
     constants: PaperConstants,
     assignment: ClassAssignment,
-    arrays: _SearchArrays,
-    triples: _TripleArrays,
+    node_pairs: NodePairs,
     alpha: int,
     report: Step3Report,
 ) -> tuple | None:
@@ -300,7 +291,7 @@ def _class_prelude(
 
     # Per-node search domains for this class, as one CSR over the labels.
     counts, offsets, flat_blocks = assignment.domain_csr(
-        arrays.components[:, 0], arrays.components[:, 1], alpha,
+        node_pairs.labels[:, 0], node_pairs.labels[:, 1], alpha,
         partitions.num_coarse,
     )
     in_domain = counts > 0
@@ -314,10 +305,9 @@ def _class_prelude(
     # no Node (or per-label dict entry) is materialized for any of this.
     prefix_of: np.ndarray | None = None
     if dup > 1:
-        cls = triples.ensure()
-        alpha_sel = cls.values == alpha
-        alpha_rows = cls.rows[alpha_sel]
-        alpha_positions = cls.positions[alpha_sel]
+        rows, values, positions, scheme_size = _triple_columns(network, assignment)
+        alpha_rows = rows[values == alpha]
+        alpha_positions = positions[values == alpha]
         dup_labels = ProductLabels(alpha_rows, dup)
         network.register_scheme(f"step3_dup_alpha{alpha}", dup_labels)
         # Fig. 5 Step 0: replicate the Step-1 data to the duplicates (once).
@@ -336,12 +326,12 @@ def _class_prelude(
             np.full(dup_positions.size, words, dtype=np.int64),
         )
         network.charge_local(f"step3.alpha{alpha}.duplication", step0)
-        prefix_of = np.full(cls.scheme_size, -1, dtype=np.int64)
+        prefix_of = np.full(scheme_size, -1, dtype=np.int64)
         prefix_of[alpha_positions] = np.arange(num_alpha, dtype=np.int64)
 
     # --- evaluation round cost of one oracle application -----------------
     plan = class_query_plan(
-        network, arrays, (counts, offsets, flat_blocks), beta, dup,
+        network, node_pairs, (counts, offsets, flat_blocks), beta, dup,
         prefix_of=prefix_of,
     )
     eval_r = evaluation_rounds(network.num_nodes, plan, beta)
@@ -357,8 +347,6 @@ def _run_class(
     constants: PaperConstants,
     assignment: ClassAssignment,
     node_pairs: NodePairs,
-    arrays: _SearchArrays,
-    triples: _TripleArrays,
     alpha: int,
     report: Step3Report,
     generator,
@@ -366,8 +354,7 @@ def _run_class(
     amplification: float,
 ) -> None:
     prelude = _class_prelude(
-        network, partitions, constants, assignment, arrays, triples,
-        alpha, report,
+        network, partitions, constants, assignment, node_pairs, alpha, report,
     )
     if prelude is None:
         return
@@ -376,13 +363,14 @@ def _run_class(
     # --- the searches ------------------------------------------------------
     if search_mode == "classical":
         _run_class_classical(
-            network, node_pairs, arrays, (counts, offsets, flat_blocks),
-            in_domain, alpha, eval_r, report, partitions.num_vertices,
+            network, node_pairs, (counts, offsets, flat_blocks), in_domain,
+            alpha, eval_r, report,
         )
         return
 
     max_domain = int(counts[in_domain].max())
-    max_m = int(arrays.num_pairs[in_domain].max())
+    num_pairs = node_pairs.num_pairs
+    max_m = int(num_pairs[in_domain].max())
     cap = max_iterations(max_domain + 1)
     repetitions = max(
         1, int(np.ceil(amplification * guarded_log(max(max_m, 2))))
@@ -391,10 +379,8 @@ def _run_class(
 
     # One batched run for the whole class: every search node is a lane of
     # the same lockstep schedule, and the lane seed column (one batched
-    # draw, one seed per lane) seeds the class's batch generator.  The
-    # padded witness-table stacks are built in cache-sized chunks and
-    # registered through add_lanes.
-    lane_indices = np.nonzero(in_domain & (arrays.num_pairs > 0))[0]
+    # draw, one seed per lane) seeds the class's batch generator.
+    lane_indices = np.flatnonzero(in_domain & (num_pairs > 0))
     seeds = np.empty(0, dtype=np.int64)
     if lane_indices.size:
         seeds = generator.integers(0, 2**63 - 1, size=lane_indices.size)
@@ -402,120 +388,100 @@ def _run_class(
         batch_rng=seeds, beta=beta, eval_rounds=eval_r,
         amplification=amplification,
     )
-    lane_pairs = register_class_lanes(
-        batched, arrays, node_pairs, (counts, offsets, flat_blocks),
-        lane_indices,
+    register_class_lanes(
+        batched, node_pairs, (counts, offsets, flat_blocks), lane_indices
     )
 
     phase_rounds = 0.0
-    found_chunks: list[np.ndarray] = []
-    for pairs, result in zip(lane_pairs, batched.run(schedule).values()):
+    found_rows: list[np.ndarray] = []
+    for label_ix, result in zip(lane_indices.tolist(), batched.run(schedule).values()):
         report.total_searches += int(result.found.size)
         report.typicality_truncations += result.typicality.truncated_entries
         report.corrupted_repetitions += result.corrupted_repetitions
         phase_rounds = max(phase_rounds, result.rounds)
-        found = pairs[result.found_mask()]
-        if found.size:
-            found_chunks.append(found)
-    report.found_pairs.update(
-        found_pair_set(found_chunks, partitions.num_vertices)
-    )
+        hit = np.flatnonzero(result.found >= 0)
+        if hit.size:
+            found_rows.append(node_pairs.rows[node_pairs.offsets[label_ix] + hit])
+    report.mark_found(node_pairs, found_rows)
     # All nodes search in the same (global) rounds: the phase costs the
     # longest node schedule, not the sum.
     network.charge_local(f"step3.alpha{alpha}.search", phase_rounds)
     report.search_rounds_per_alpha[alpha] = phase_rounds
 
 
+def _segment_runs(
+    node_pairs: NodePairs,
+    domain_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
+    label_indices: np.ndarray,
+):
+    """Split ascending class labels into runs of one segment each.
+
+    Yields ``(run, blocks, lo, hi, cells, cell_table)`` per run with kept
+    samples: the run's label indices, the segment's class domain
+    ``Tα[bu, bv]``, the run's sample range ``lo:hi``, each sample's row in
+    ``cell_table``, and the segment's kept cells restricted to the domain —
+    the once-per-cell table both search modes read.
+    """
+    _counts, offsets, flat_blocks = domain_csr
+    segments = node_pairs.labels[label_indices, :2]
+    breaks = np.flatnonzero((np.diff(segments, axis=0) != 0).any(axis=1)) + 1
+    for run in np.split(label_indices, breaks):
+        if not run.size:
+            continue
+        lo = int(node_pairs.offsets[run[0]])
+        hi = int(node_pairs.offsets[run[-1] + 1])
+        if hi == lo:
+            continue
+        rows = node_pairs.rows[lo:hi]
+        base = int(rows.min())
+        blocks = flat_blocks[offsets[run[0]]:offsets[run[0] + 1]]
+        cell_table = node_pairs.tables[base:int(rows.max()) + 1][:, blocks]
+        yield run, blocks, lo, hi, rows - base, cell_table
+
+
 def register_class_lanes(
     batched: BatchedMultiSearch,
-    arrays: _SearchArrays,
     node_pairs: NodePairs,
     domain_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     lane_indices: np.ndarray,
-) -> list[np.ndarray]:
-    """Register the class's search lanes in bulk, chunk by chunk.
-
-    Each chunk's padded ``(lanes, max_m, max_X)`` witness-table stack stays
-    within the ``_LANE_CHUNK_CELLS`` budget (cache-resident instead of one
-    class-wide block) and goes through
-    :meth:`~repro.quantum.batched.BatchedMultiSearch.add_lanes`.  Returns each lane's kept-pair array,
-    aligned with registration order (exposed for e15's lane-setup timing).
-    """
-    counts, offsets, flat_blocks = domain_csr
-    lane_items = counts[lane_indices]
-    lane_searches = arrays.num_pairs[lane_indices]
-    lane_pairs: list[np.ndarray] = []
-    start = 0
-    while start < lane_indices.size:
-        stop = _chunk_stop(lane_items, lane_searches, start)
-        chunk = lane_indices[start:stop]
-        items = lane_items[start:stop]
-        searches = lane_searches[start:stop]
-        stack = np.zeros(
-            (int(chunk.size), int(searches.max()), int(items.max())),
-            dtype=bool,
+) -> None:
+    """Register the class's search lanes in bulk, one
+    :meth:`~repro.quantum.batched.BatchedMultiSearch.add_lanes` call per
+    segment: the lanes of a segment share its domain and its kept cells, so
+    the cell table is cut once and every sample indexes it (exposed for
+    e15's lane-setup timing)."""
+    for run, blocks, lo, hi, cells, cell_table in _segment_runs(
+        node_pairs, domain_csr, lane_indices
+    ):
+        batched.add_lanes(
+            list(map(tuple, node_pairs.labels[run].tolist())),
+            np.full(run.size, blocks.size, dtype=np.int64),
+            np.append(node_pairs.offsets[run], hi) - lo,
+            cells,
+            cell_table,
         )
-        chunk_keys = []
-        for lane, label_ix in enumerate(chunk.tolist()):
-            label = arrays.keys[label_ix]
-            chunk_keys.append(label)
-            blocks = flat_blocks[offsets[label_ix]:offsets[label_ix + 1]]
-            table = node_pairs[label][2]
-            stack[lane, : table.shape[0], : blocks.size] = table[:, blocks]
-            lane_pairs.append(node_pairs[label][0])
-        batched.add_lanes(chunk_keys, items, searches, stack)
-        start = stop
-    return lane_pairs
-
-
-def _chunk_stop(
-    lane_items: np.ndarray, lane_searches: np.ndarray, start: int
-) -> int:
-    """End index of the padded chunk starting at ``start`` whose bool stack
-    stays within the ``_LANE_CHUNK_CELLS`` element budget (always at least
-    one lane)."""
-    max_items = 0
-    max_searches = 0
-    stop = start
-    while stop < lane_items.size:
-        max_items = max(max_items, int(lane_items[stop]))
-        max_searches = max(max_searches, int(lane_searches[stop]))
-        cells = (stop - start + 1) * max_items * max_searches
-        if cells > _LANE_CHUNK_CELLS and stop > start:
-            break
-        stop += 1
-    return stop
 
 
 def _run_class_classical(
     network: CongestClique,
     node_pairs: NodePairs,
-    arrays: _SearchArrays,
     domain_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     in_domain: np.ndarray,
     alpha: int,
     eval_r: float,
     report: Step3Report,
-    num_vertices: int,
 ) -> None:
     """Linear-scan ablation: every node checks each block of its domain with
     one evaluation each — ``|X| · r`` rounds instead of ``Õ(√|X|) · r``,
     and deterministic (exact) detection."""
-    counts, offsets, flat_blocks = domain_csr
-    max_domain = int(counts[in_domain].max())
-    rounds = eval_r * max_domain
-    found_chunks: list[np.ndarray] = []
-    for label_ix in np.nonzero(in_domain)[0].tolist():
-        label = arrays.keys[label_ix]
-        pairs, _weights, witness_table = node_pairs[label]
-        if len(pairs) == 0:
-            continue
-        blocks = flat_blocks[offsets[label_ix]:offsets[label_ix + 1]]
-        hit = witness_table[:, blocks].any(axis=1)
-        report.total_searches += len(pairs)
-        found = pairs[hit]
-        if found.size:
-            found_chunks.append(found)
-    report.found_pairs.update(found_pair_set(found_chunks, num_vertices))
+    counts = domain_csr[0]
+    rounds = eval_r * int(counts[in_domain].max())
+    found_rows: list[np.ndarray] = []
+    for _run, _blocks, lo, hi, cells, cell_table in _segment_runs(
+        node_pairs, domain_csr, np.flatnonzero(in_domain)
+    ):
+        report.total_searches += hi - lo
+        found_rows.append(node_pairs.rows[lo:hi][cell_table.any(axis=1)[cells]])
+    report.mark_found(node_pairs, found_rows)
     network.charge_local(f"step3.alpha{alpha}.search", rounds)
     report.search_rounds_per_alpha[alpha] = rounds

@@ -77,33 +77,23 @@ def distance_product_via_find_edges(
     calls = 0
     aborts = 0
 
-    def run_call(d_matrix: np.ndarray, scope_pairs: set[tuple[int, int]]):
+    def run_call(d_matrix: np.ndarray, active: np.ndarray) -> np.ndarray:
+        """One FindEdges call over the scope pairs ``(i, n + j)`` selected by
+        ``active``; returns the solution pairs as a boolean ``(n, n)`` mask."""
         nonlocal total_rounds, calls, aborts
         graph = tripartite_from_matrices(a, b, d_matrix)
-        instance = FindEdgesInstance(graph, scope=scope_pairs)
-        solution = backend.find_edges(instance)
+        scope = np.zeros((3 * n, 3 * n), dtype=bool)
+        scope[:n, n:2 * n] = active
+        solution = backend.find_edges(FindEdgesInstance(graph, scope=scope))
         calls += 1
         total_rounds += solution.rounds
         aborts += solution.aborts
         ledger.merge(solution.ledger, prefix=f"product.call{calls}.")
-        return solution.pairs
-
-    def pair_mask(pairs: set[tuple[int, int]]) -> np.ndarray:
-        """Solution pairs ``(i, n + j)`` as a boolean ``(n, n)`` mask."""
-        mask = np.zeros((n, n), dtype=bool)
-        if pairs:
-            arr = np.array(list(pairs), dtype=np.int64)
-            mask[arr[:, 0], arr[:, 1] - n] = True
-        return mask
-
-    def mask_scope(mask: np.ndarray) -> set[tuple[int, int]]:
-        """The scope pairs ``(i, n + j)`` selected by a boolean mask."""
-        us, vs = np.nonzero(mask)
-        return set(zip(us.tolist(), (vs + n).tolist()))
+        return solution.pair_mask(3 * n)[:n, n:2 * n]
 
     # Phase 1: +∞ detection.  C[i, j] is finite iff it is < 2M + 1.
     d0 = np.full((n, n), float(2 * bound + 1))
-    finite_mask = pair_mask(run_call(d0, mask_scope(np.ones((n, n), dtype=bool))))
+    finite_mask = run_call(d0, np.ones((n, n), dtype=bool))
 
     # Phase 2: bisection over [−2M, 2M] for finite entries.
     lo = np.full((n, n), float(-2 * bound))
@@ -114,7 +104,7 @@ def distance_product_via_find_edges(
             break
         mid = np.floor((lo + hi) / 2.0)
         d_matrix = np.where(active, mid, NEG_SENTINEL)
-        below_mask = pair_mask(run_call(d_matrix, mask_scope(active)))
+        below_mask = run_call(d_matrix, active)
         hi = np.where(active & below_mask, mid, hi)
         lo = np.where(active & ~below_mask, mid, lo)
 

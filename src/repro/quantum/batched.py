@@ -21,9 +21,10 @@ per repetition.
 
 Lanes are registered either one at a time (:meth:`BatchedMultiSearch.add`,
 which delegates the CSR layout and the Theorem 3 typicality truncation to
-:class:`MultiSearch`) or in bulk (:meth:`BatchedMultiSearch.add_lanes`): a
-padded 3-D witness-table stack whose per-lane windows become CSR slices of
-one ``np.nonzero`` pass, with no per-lane :class:`MultiSearch` (and hence no
+:class:`MultiSearch`) or in bulk (:meth:`BatchedMultiSearch.add_lanes`):
+searches that index rows of one shared *cell table*, whose solution counts
+and CSR item column are computed once per cell and shared by every lane
+that searches the cell, with no per-lane :class:`MultiSearch` (and hence no
 per-search Python array list) constructed at all.  Lane state is held
 directly on the :class:`_Lane` — effective CSR columns and typicality
 report — and both registration paths produce bit-identical runs.
@@ -54,7 +55,6 @@ repetition budget exhausted), mirroring the per-node early stop.
 
 from __future__ import annotations
 
-import math
 from typing import Hashable, Optional, Sequence, Union
 
 import numpy as np
@@ -72,102 +72,45 @@ from repro.quantum.multisearch import (
 from repro import telemetry
 from repro.util.rng import SeedLike, materialize_rng
 
+#: Element budget of one ``(lanes, cells)`` membership block in
+#: :meth:`BatchedMultiSearch.add_lanes` — bounds the per-lane load product's
+#: memory however many lanes share one large cell table.
+_LOAD_CHUNK_CELLS = 1 << 20
+
 
 class _Lane:
-    """One search node's state inside the lockstep loop.
-
-    Holds the effective (typicality-truncated) CSR directly — solutions of
-    search ``ℓ`` are ``eff_flat[eff_offsets[ℓ] : eff_offsets[ℓ + 1]]`` — so
-    bulk registration never constructs a :class:`MultiSearch`.
+    """One search node's registration: its effective (typicality-truncated)
+    solution CSR — search ``ℓ``'s solutions are
+    ``flat[starts[ℓ] : starts[ℓ] + counts[ℓ]]``, where ``flat`` may be
+    shared with other lanes — and its typicality report.  Everything the
+    shared schedule determines is computed for all lanes at once in
+    :meth:`BatchedMultiSearch._run`.
     """
 
-    __slots__ = (
-        "key", "num_items", "num_searches", "eval_rounds", "beta",
-        "eff_offsets", "eff_flat", "typicality",
-        "found", "theta", "counts",
-        "iters", "delta", "rounds_cum", "oracle_cum", "live", "can_freeze",
-        "last_rep", "corrupted", "fidelity_max",
-    )
+    __slots__ = ("key", "num_items", "counts", "starts", "flat", "typicality")
 
     def __init__(
         self,
         key: Hashable,
         num_items: int,
-        num_searches: int,
-        eval_rounds: float,
-        beta: Optional[float],
-        eff_counts: np.ndarray,
-        eff_offsets: np.ndarray,
-        eff_flat: np.ndarray,
+        counts: np.ndarray,
+        starts: np.ndarray,
+        flat: np.ndarray,
         typicality: TypicalityReport,
     ) -> None:
         self.key = key
         self.num_items = int(num_items)
-        self.num_searches = int(num_searches)
-        self.eval_rounds = eval_rounds
-        self.beta = beta
-        self.counts = eff_counts
-        self.eff_offsets = eff_offsets
-        self.eff_flat = eff_flat
+        self.counts = counts
+        self.starts = starts
+        self.flat = flat
         self.typicality = typicality
-        self.found = np.full(self.num_searches, -1, dtype=np.int64)
-        self.live = int(np.count_nonzero(eff_counts))
-        self.last_rep = -1
-        self.corrupted = 0
-        self.fidelity_max = 0.0
 
-    def prepare(self, schedule: np.ndarray) -> None:
-        """Precompute everything the shared schedule determines.
-
-        The sequential run recomputes these values inside its repetition
-        loop; they only depend on the lane's (static) solution counts and
-        the schedule, so one pass up front suffices: the iteration counts
-        clamped to this lane's BBHT cap, the cumulative round/oracle
-        charges, Lemma 5's per-repetition deviation bounds, and the
-        per-search Grover angles ``θ`` (the repetition loop then only pays
-        one ``sin`` over the pending subset).
-        """
-        padded_items = self.num_items + 1
-        cap = max_iterations(padded_items)
-        self.iters = np.minimum(schedule, cap)
-
-        # Same per-term products as the sequential loop; cumsum accumulates
-        # left to right exactly like `total_rounds +=` did.
-        terms = self.iters + 1
-        self.rounds_cum = np.cumsum(terms * self.eval_rounds)
-        self.oracle_cum = np.cumsum(terms)
-
-        if self.beta is not None:
-            mass = uniform_atypical_mass(
-                padded_items, self.num_searches, self.beta
-            )
-            root = math.sqrt(mass)
-            self.delta = np.minimum(1.0, 2.0 * self.iters * root)
-            # With every deviation bound at zero, repetitions can never be
-            # corrupted — together with an empty live set this makes the
-            # lane's remaining evolution fully deterministic.
-            self.can_freeze = not self.delta.any()
-        else:
-            self.delta = np.empty(0)
-            self.can_freeze = True
-
-        # θ per (padded) search: probs for repetition k over any pending
-        # subset p are sin²((2k+1)·θ[p]) — elementwise identical to
-        # amplitude.batch_success_probability on that subset.
-        self.theta = np.arcsin(
-            np.sqrt((self.counts + 1).astype(np.float64) / padded_items)
-        )
-
-    def report(self) -> MultiSearchReport:
-        executed = self.last_rep + 1
-        return MultiSearchReport(
-            found=self.found,
-            rounds=float(self.rounds_cum[self.last_rep]) if executed else 0.0,
-            repetitions=executed,
-            oracle_calls=int(self.oracle_cum[self.last_rep]) if executed else 0,
-            typicality=self.typicality,
-            corrupted_repetitions=self.corrupted,
-            fidelity_bound_max=self.fidelity_max,
+    @classmethod
+    def of_search(cls, key: Hashable, search: MultiSearch) -> "_Lane":
+        """The lane of a constructed :class:`MultiSearch`."""
+        return cls(
+            key, search.num_items, search._eff_counts, search._eff_offsets[:-1],
+            search._eff_flat, search.typicality,
         )
 
 
@@ -233,114 +176,114 @@ class BatchedMultiSearch:
             eval_rounds=self.eval_rounds,
             amplification=self.amplification,
         )
-        self._lanes.append(
-            _Lane(
-                key,
-                search.num_items,
-                search.num_searches,
-                self.eval_rounds,
-                self.beta,
-                search._eff_counts,
-                search._eff_offsets,
-                search._eff_flat,
-                search.typicality,
-            )
-        )
+        self._lanes.append(_Lane.of_search(key, search))
 
     def add_lanes(
         self,
         keys: Sequence[Hashable],
         num_items: np.ndarray,
-        num_searches: np.ndarray,
-        tables: np.ndarray,
+        bounds: np.ndarray,
+        cells: np.ndarray,
+        cell_table: np.ndarray,
     ) -> None:
-        """Register many lanes at once from a padded witness-table stack.
+        """Register many lanes at once over one shared cell table.
 
-        ``tables`` is a boolean ``(len(keys), max_m, max_X)`` stack; lane
-        ``i`` reads the window ``tables[i, :num_searches[i], :num_items[i]]``
-        and everything outside a lane's window must be ``False``.
+        ``cell_table`` is a boolean ``(C, X)`` truth table whose row ``c``
+        marks the solutions of a search over cell ``c``.  Lane ``i`` runs
+        ``bounds[i + 1] − bounds[i]`` searches over items
+        ``0 .. num_items[i] − 1``; its search ``ℓ`` is over cell
+        ``cells[bounds[i] + ℓ]``, and every marked item must lie inside the
+        lane's window.  Many lanes may search the same cell — Step 3's lanes
+        of one segment all index their segment's kept cells.
 
-        The stack's CSR (rows sorted by lane, then search, then item) comes
-        from a single ``np.nonzero`` pass, and each typical lane's effective
-        solution columns are plain slices of it — no per-lane
-        :class:`MultiSearch`, no per-search Python array list.  The rare
-        atypical lane (Lemma 3 failed: some item is a solution of more than
-        ``β/2`` of the lane's searches) falls back to the sequential
-        truncation machinery, keeping the deterministic ``C̃_m`` behaviour
-        bit-identical.  Property-tested equal to the :meth:`add` loop in
+        Solution counts and the CSR item column are computed once per cell;
+        each search gathers its count and start, and the lanes share the
+        item column, so nothing per lane is copied.  Lemma 3's per-lane item
+        loads come from one ``(lanes, C) @ (C, X)`` product, in row chunks
+        of at most ``_LOAD_CHUNK_CELLS`` membership cells.  The rare
+        atypical lane (some item solves more than ``β/2`` of the lane's
+        searches) falls back to the sequential truncation machinery,
+        keeping the deterministic ``C̃_m`` behaviour bit-identical.
+        Property-tested equal to the :meth:`add` loop in
         ``tests/test_quantum_batched.py``.
         """
         num_items = np.asarray(num_items, dtype=np.int64)
-        num_searches = np.asarray(num_searches, dtype=np.int64)
-        tables = np.asarray(tables, dtype=bool)
+        bounds = np.asarray(bounds, dtype=np.int64)
+        cells = np.asarray(cells, dtype=np.int64)
+        cell_table = np.asarray(cell_table, dtype=bool)
         num_lanes = len(keys)
         if (
-            tables.ndim != 3
-            or tables.shape[0] != num_lanes
+            cell_table.ndim != 2
             or num_items.shape != (num_lanes,)
-            or num_searches.shape != (num_lanes,)
+            or bounds.shape != (num_lanes + 1,)
+            or int(bounds[0]) != 0
+            or cells.shape != (int(bounds[-1]),)
         ):
             raise QuantumSimulationError("misaligned bulk-lane arrays")
         if num_lanes == 0:
             return
+        if int(cells.min()) < 0 or int(cells.max()) >= cell_table.shape[0]:
+            raise QuantumSimulationError("search cell outside the cell table")
+        sizes = np.diff(bounds)
         if int(num_items.min()) < 1:
             raise QuantumSimulationError("num_items must be positive")
-        if int(num_searches.min()) < 1:
+        if int(sizes.min()) < 1:
             raise QuantumSimulationError("need at least one search per lane")
-        if int(num_searches.max()) > tables.shape[1] or int(num_items.max()) > tables.shape[2]:
-            raise QuantumSimulationError("lane window exceeds the padded stack")
+        if int(num_items.max()) > cell_table.shape[1]:
+            raise QuantumSimulationError("lane window exceeds the cell table")
 
-        # One pass over the stack: per-(lane, search) solution counts, per-
-        # (lane, item) loads, and the concatenated CSR value column.
-        row_counts = tables.sum(axis=2, dtype=np.int64)   # (lanes, max_m)
-        item_loads = tables.sum(axis=1, dtype=np.int64)   # (lanes, max_X)
-        search_pad = np.arange(tables.shape[1])[None, :] >= num_searches[:, None]
-        item_pad = np.arange(tables.shape[2])[None, :] >= num_items[:, None]
-        if (row_counts * search_pad).any() or (item_loads * item_pad).any():
-            raise QuantumSimulationError("padding outside a lane window must be False")
-        # flatnonzero + modulo instead of 3-D nonzero: only the item column
-        # is needed, and one nnz-sized output (instead of three) keeps the
-        # per-chunk allocations arena-cached.
-        flat_items = np.flatnonzero(tables) % tables.shape[2]
-        lane_starts = np.zeros(num_lanes + 1, dtype=np.int64)
-        np.cumsum(row_counts.sum(axis=1), out=lane_starts[1:])
-        max_loads = item_loads.max(axis=1)
+        # Once per cell: solution counts and the row-major CSR item column.
+        num_cells = cell_table.shape[0]
+        cell_counts = np.count_nonzero(cell_table, axis=1)
+        cell_starts = np.zeros(num_cells + 1, dtype=np.int64)
+        np.cumsum(cell_counts, out=cell_starts[1:])
+        flat = np.nonzero(cell_table)[1]
+        marked = cell_counts > 0
+        cell_width = np.zeros(num_cells, dtype=np.int64)
+        cell_width[marked] = flat[cell_starts[1:][marked] - 1] + 1
+        search_lane = np.repeat(np.arange(num_lanes, dtype=np.int64), sizes)
+        if (cell_width[cells] > num_items[search_lane]).any():
+            raise QuantumSimulationError("a marked item lies outside its lane's window")
+        counts = cell_counts[cells]
+        starts = cell_starts[cells]
+
+        # Per-lane item loads: cell multiplicities per lane times the table.
+        max_loads = np.empty(num_lanes, dtype=np.int64)
+        table = cell_table.astype(np.float64)
+        step = max(1, _LOAD_CHUNK_CELLS // max(1, num_cells))
+        for lo in range(0, num_lanes, step):
+            hi = min(num_lanes, lo + step)
+            chunk = slice(int(bounds[lo]), int(bounds[hi]))
+            membership = np.bincount(
+                (search_lane[chunk] - lo) * num_cells + cells[chunk],
+                minlength=(hi - lo) * num_cells,
+            ).reshape(hi - lo, num_cells)
+            max_loads[lo:hi] = (membership @ table).max(axis=1)
 
         for index, key in enumerate(keys):
             if key in self._keys:
                 raise QuantumSimulationError(f"duplicate search-node key {key!r}")
             self._keys.add(key)
-            m = int(num_searches[index])
             items = int(num_items[index])
+            lane = slice(int(bounds[index]), int(bounds[index + 1]))
             max_load = int(max_loads[index])
             if self.beta is not None and not solutions_are_typical(self.beta, max_load):
                 # Atypical solutions: delegate the deterministic truncation
                 # to the sequential machinery (rare — Lemma 3 failing).
                 search = MultiSearch(
                     items,
-                    marked_table=tables[index, :m, :items],
+                    marked_table=cell_table[cells[lane], :items],
                     beta=self.beta,
                     eval_rounds=self.eval_rounds,
                     amplification=self.amplification,
                 )
-                self._lanes.append(
-                    _Lane(
-                        key, items, m, self.eval_rounds, self.beta,
-                        search._eff_counts, search._eff_offsets,
-                        search._eff_flat, search.typicality,
-                    )
-                )
+                self._lanes.append(_Lane.of_search(key, search))
                 continue
-            typicality = untruncated_typicality(self.beta, items, m, max_load)
-            eff_counts = row_counts[index, :m]
-            eff_offsets = np.zeros(m + 1, dtype=np.int64)
-            np.cumsum(eff_counts, out=eff_offsets[1:])
-            eff_flat = flat_items[lane_starts[index]:lane_starts[index + 1]]
+            typicality = untruncated_typicality(
+                self.beta, items, int(sizes[index]), max_load
+            )
             self._lanes.append(
-                _Lane(
-                    key, items, m, self.eval_rounds, self.beta,
-                    eff_counts, eff_offsets, eff_flat, typicality,
-                )
+                _Lane(key, items, counts[lane], starts[lane], flat, typicality)
             )
 
     def run(
@@ -383,50 +326,84 @@ class BatchedMultiSearch:
         measurement batch.
         """
         repetitions = len(schedule)
-        schedule_column = np.asarray(schedule, dtype=np.int64)
-        active_lanes: list[_Lane] = []
-        for lane in self._lanes:
-            lane.prepare(schedule_column)
-            if repetitions and lane.can_freeze and lane.live == 0:
-                # Deterministic lane (nothing findable, nothing corruptible):
-                # charges the full schedule without consuming randomness.
-                lane.last_rep = repetitions - 1
-            else:
-                active_lanes.append(lane)
-        if not repetitions or not active_lanes:
-            return {lane.key: lane.report() for lane in self._lanes}
-
-        brng = materialize_rng(self.batch_rng)
-        num_lanes = len(active_lanes)
-        sizes = np.array(
-            [lane.num_searches for lane in active_lanes], dtype=np.int64
+        lanes = self._lanes
+        num_lanes = len(lanes)
+        if not num_lanes:
+            return {}
+        # Everything the shared schedule determines, computed up front as
+        # matrices — the values the sequential run recomputes inside its
+        # repetition loop.  Iteration counts (clamped to the BBHT cap) and
+        # cumulative round/oracle charges depend only on the padded domain
+        # size, so they are (domains, repetitions) matrices; cumsum
+        # accumulates left to right exactly like `total_rounds +=` did.
+        # Lemma 5's per-repetition deviation bounds are (lanes, repetitions).
+        padded_items = np.fromiter(
+            (lane.num_items + 1 for lane in lanes), dtype=np.int64, count=num_lanes
         )
+        sizes = np.fromiter(
+            (lane.counts.size for lane in lanes), dtype=np.int64, count=num_lanes
+        )
+        domains, domain_of = np.unique(padded_items, return_inverse=True)
+        iters = np.minimum(
+            np.asarray(schedule, dtype=np.int64)[None, :],
+            np.array([max_iterations(d) for d in domains.tolist()])[:, None],
+        )
+        terms = iters + 1
+        rounds_cum = np.cumsum(terms * self.eval_rounds, axis=1)
+        oracle_cum = np.cumsum(terms, axis=1)
+        typical = self.beta is not None
+        if typical:
+            # One (scipy) mass evaluation per distinct (domain, searches).
+            _, first, inverse = np.unique(
+                padded_items * (int(sizes.max()) + 1) + sizes,
+                return_index=True, return_inverse=True,
+            )
+            mass = np.array([
+                uniform_atypical_mass(int(padded_items[i]), int(sizes[i]), self.beta)
+                for i in first.tolist()
+            ])[inverse]
+            delta_mat = np.minimum(
+                1.0, 2.0 * iters[domain_of] * np.sqrt(mass)[:, None]
+            )
+            # With every deviation bound at zero, repetitions can never be
+            # corrupted — together with an empty live set this makes the
+            # lane's remaining evolution fully deterministic.
+            can_freeze = ~delta_mat.any(axis=1)
+        else:
+            can_freeze = np.ones(num_lanes, dtype=bool)
+
         lane_off = np.zeros(num_lanes + 1, dtype=np.int64)
         np.cumsum(sizes, out=lane_off[1:])
         search_lane = np.repeat(np.arange(num_lanes, dtype=np.int64), sizes)
-        theta = np.concatenate([lane.theta for lane in active_lanes])
-        counts = np.concatenate([lane.counts for lane in active_lanes])
+        counts = np.concatenate([lane.counts for lane in lanes])
         padded = counts + 1
-        iters_mat = np.stack([lane.iters for lane in active_lanes])
-        typical = self.beta is not None
-        if typical:
-            delta_mat = np.stack([lane.delta for lane in active_lanes])
-
-        pending = np.ones(lane_off[-1], dtype=bool)
-        # Measurement slots of found searches; the solution *values* resolve
-        # per lane after the loop — concatenating every lane's effective CSR
-        # (``eff_flat``) up front would copy the whole class's solution
-        # lists, which dwarfs the loop itself on large classes.
-        found_slot = np.full(lane_off[-1], -1, dtype=np.int64)
-        pend_count = sizes.copy()
-        live = np.array([lane.live for lane in active_lanes], dtype=np.int64)
-        can_freeze = np.array(
-            [lane.can_freeze for lane in active_lanes], dtype=bool
-        )
-        lane_active = np.ones(num_lanes, dtype=bool)
+        # Grover angle θ = asin(√((count + 1) / padded items)) per (domain,
+        # count): probs for repetition k are sin²((2k+1)·θ) — elementwise
+        # identical to amplitude.batch_success_probability — so each
+        # repetition evaluates one small (domains, counts) table and every
+        # measured search gathers its entry.
+        grid = np.minimum(np.arange(1, domains[-1] + 1)[None, :], domains[:, None])
+        theta = np.arcsin(np.sqrt(grid.astype(np.float64) / domains[:, None]))
+        theta_of = domain_of[search_lane] * theta.shape[1] + counts
+        live = np.bincount(search_lane[counts > 0], minlength=num_lanes)
         last_rep = np.full(num_lanes, -1, dtype=np.int64)
         corrupted = np.zeros(num_lanes, dtype=np.int64)
         fidelity_max = np.zeros(num_lanes, dtype=np.float64)
+        # Measurement slots of found searches; the solution *values* resolve
+        # per lane after the loop.
+        found_slot = np.full(lane_off[-1], -1, dtype=np.int64)
+        # Deterministic lanes (nothing findable, nothing corruptible) charge
+        # the full schedule without consuming randomness.
+        lane_active = ~(can_freeze & (live == 0))
+        if repetitions:
+            last_rep[~lane_active] = repetitions - 1
+        brng = (
+            materialize_rng(self.batch_rng)
+            if repetitions and lane_active.any()
+            else None
+        )
+        pending = np.ones(lane_off[-1], dtype=bool)
+        pend_count = sizes.copy()
         measuring = np.zeros(num_lanes, dtype=bool)
         # Working set: indices of pending searches with at least one
         # solution in still-active lanes, always ascending — so the
@@ -469,10 +446,9 @@ class BatchedMultiSearch:
             picked = measuring[work_lane]
             flat = work[picked]
             draws = brng.random(flat.size)
-            probs = (
-                np.sin((2 * iters_mat[work_lane[picked], rep] + 1) * theta[flat])
-                ** 2
-            )
+            probs = (np.sin((2 * iters[:, rep, None] + 1) * theta) ** 2).ravel()[
+                theta_of[flat]
+            ]
             hits = flat[draws < probs]
             if hits.size:
                 slots = brng.integers(0, padded[hits])
@@ -504,15 +480,22 @@ class BatchedMultiSearch:
             work = work[keep]
             work_lane = work_lane[keep]
 
-        for index, lane in enumerate(active_lanes):
+        reports: dict[Hashable, MultiSearchReport] = {}
+        for index, lane in enumerate(lanes):
             slots = found_slot[lane_off[index]:lane_off[index + 1]]
-            lane.found = np.full(slots.size, -1, dtype=np.int64)
+            found = np.full(slots.size, -1, dtype=np.int64)
             local = np.flatnonzero(slots >= 0)
             if local.size:
-                lane.found[local] = lane.eff_flat[
-                    lane.eff_offsets[local] + slots[local]
-                ]
-            lane.last_rep = int(last_rep[index])
-            lane.corrupted = int(corrupted[index])
-            lane.fidelity_max = float(fidelity_max[index])
-        return {lane.key: lane.report() for lane in self._lanes}
+                found[local] = lane.flat[lane.starts[local] + slots[local]]
+            executed = int(last_rep[index]) + 1
+            domain = domain_of[index]
+            reports[lane.key] = MultiSearchReport(
+                found=found,
+                rounds=float(rounds_cum[domain, executed - 1]) if executed else 0.0,
+                repetitions=executed,
+                oracle_calls=int(oracle_cum[domain, executed - 1]) if executed else 0,
+                typicality=lane.typicality,
+                corrupted_repetitions=int(corrupted[index]),
+                fidelity_bound_max=float(fidelity_max[index]),
+            )
+        return reports

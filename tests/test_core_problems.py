@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.problems import FindEdgesInstance, FindEdgesSolution
+from repro.core.problems import FindEdgesInstance, FindEdgesSolution, mask_pairs
 from repro.errors import GraphError, PromiseViolationError
 from repro.graphs.digraph import UndirectedWeightedGraph
 
@@ -22,11 +22,48 @@ class TestInstance:
 
     def test_scope_normalized_to_canonical(self):
         inst = FindEdgesInstance(one_triangle(), scope={(1, 0), (3, 2)})
-        assert inst.scope == {(0, 1), (2, 3)}
+        assert inst.effective_scope() == {(0, 1), (2, 3)}
+        # Held as the canonical pair mask: the strict upper triangle.
+        assert inst.scope.shape == (4, 4) and inst.scope.dtype == bool
+        assert np.array_equal(np.argwhere(inst.scope), [[0, 1], [2, 3]])
 
     def test_scope_out_of_range_rejected(self):
         with pytest.raises(GraphError):
             FindEdgesInstance(one_triangle(), scope={(0, 9)})
+
+    def test_out_of_range_error_names_the_pair_as_written(self):
+        with pytest.raises(GraphError, match=r"\(3, -1\) out of range"):
+            FindEdgesInstance(one_triangle(), scope={(3, -1)})
+
+    def test_self_pair_rejected(self):
+        with pytest.raises(GraphError, match=r"\(3, 3\) is a self-pair"):
+            FindEdgesInstance(one_triangle(), scope={(3, 3), (1, 2)})
+
+    def test_scope_mask_must_be_strict_upper_triangle(self):
+        lower = np.zeros((4, 4), dtype=bool)
+        lower[2, 1] = True
+        for bad in (lower, np.eye(4, dtype=bool), np.zeros((3, 3), dtype=bool)):
+            with pytest.raises(GraphError):
+                FindEdgesInstance(one_triangle(), scope=bad)
+
+    @pytest.mark.parametrize(
+        "written",
+        [
+            [(0, 1), (1, 0), (2, 3), (0, 1)],   # duplicates, both orientations
+            [(3, 2), (1, 0)],                   # reversed only
+            [],
+        ],
+    )
+    def test_boundary_round_trip(self, written):
+        # Sets (or any pair collection) cross the boundary once: the pair
+        # mask reads back as the canonical pair set, in both directions.
+        canonical = {(min(u, v), max(u, v)) for u, v in written}
+        inst = FindEdgesInstance(one_triangle(), scope=written)
+        assert inst.effective_scope() == canonical
+        assert FindEdgesInstance(one_triangle(), scope=inst.scope).effective_scope() == canonical
+        solution = FindEdgesSolution(pairs=set(written), rounds=0.0)
+        assert mask_pairs(solution.pair_mask(4)) == canonical
+        assert FindEdgesSolution(solution.pair_mask(4), rounds=0.0).pairs == canonical
 
     def test_pair_graph_must_match_vertices(self):
         other = UndirectedWeightedGraph.from_edges(3, [(0, 1, 1)])

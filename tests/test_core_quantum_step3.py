@@ -11,7 +11,7 @@ from repro.congest.partitions import CliquePartitions
 from repro.core.constants import PaperConstants
 from repro.core.evaluation import block_two_hop
 from repro.core.identify_class import ClassAssignment
-from repro.core.quantum_step3 import found_pair_set, run_step3
+from repro.core.quantum_step3 import NodePairs, Step3Report, run_step3
 
 CONSTANTS = PaperConstants(scale=0.5)
 
@@ -65,7 +65,27 @@ def build_fixture(n=16, seed=3):
         for pair, hit in zip(entry[0].tolist(), entry[2].any(axis=1).tolist())
         if hit
     }
-    return graph, network, partitions, assignment, node_pairs, truth
+    return (
+        graph, network, partitions, assignment,
+        node_pairs_csr(node_pairs, partitions.num_fine), truth,
+    )
+
+
+def node_pairs_csr(entries: dict, num_fine: int) -> NodePairs:
+    """A per-label ``(pairs, weights, witness_table)`` payload as the Step-2
+    CSR, one kept-cell row per sample."""
+    sizes = [len(pairs) for pairs, _, _ in entries.values()]
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    column = lambda part: np.concatenate([entry[part] for entry in entries.values()])
+    return NodePairs(
+        labels=np.array(list(entries), dtype=np.int64).reshape(-1, 3),
+        offsets=offsets,
+        rows=np.arange(offsets[-1]),
+        pairs=column(0).reshape(-1, 2).astype(np.int64),
+        weights=column(1),
+        tables=column(2).reshape(-1, num_fine),
+    )
 
 
 class TestClassicalMode:
@@ -110,7 +130,7 @@ class TestQuantumMode:
             network, partitions, CONSTANTS, assignment, node_pairs,
             rng=2, search_mode="quantum",
         )
-        expected = sum(len(entry[0]) for entry in node_pairs.values())
+        expected = int(node_pairs.offsets[-1])
         assert report.total_searches == expected
 
     def test_phase_charges_use_max_not_sum(self):
@@ -124,9 +144,7 @@ class TestQuantumMode:
         )
         charged = network.ledger.total - before
         eval_r = report.eval_rounds_per_alpha[0]
-        num_nodes_with_pairs = sum(
-            1 for entry in node_pairs.values() if len(entry[0])
-        )
+        num_nodes_with_pairs = int(np.count_nonzero(np.diff(node_pairs.offsets)))
         # Sum over nodes would be ~num_nodes× larger than one schedule.
         assert charged < eval_r * 1000 * num_nodes_with_pairs
 
@@ -232,14 +250,17 @@ class TestDuplicationPath:
 class TestEmptyInputs:
     def test_no_pairs_anywhere(self):
         graph, network, partitions, assignment, node_pairs, _ = build_fixture()
-        empty = {
-            label: (
-                np.empty((0, 2), dtype=np.int64),
-                np.empty(0),
-                np.empty((0, partitions.num_fine), dtype=bool),
-            )
-            for label in node_pairs
-        }
+        empty = node_pairs_csr(
+            {
+                tuple(label): (
+                    np.empty((0, 2), dtype=np.int64),
+                    np.empty(0),
+                    np.empty((0, partitions.num_fine), dtype=bool),
+                )
+                for label in node_pairs.labels.tolist()
+            },
+            partitions.num_fine,
+        )
         report = run_step3(
             network, partitions, CONSTANTS, assignment, empty,
             rng=1, search_mode="quantum",
@@ -248,30 +269,46 @@ class TestEmptyInputs:
         assert report.total_searches == 0
 
 
-class TestFoundPairSet:
-    """The mask-based dedup is exactly the tuple set of the found rows."""
+class TestMarkFound:
+    """Found kept-cell rows land in the pair mask as exactly their pairs."""
+
+    @staticmethod
+    def node_pairs(pairs):
+        return NodePairs(
+            labels=np.empty((0, 3), dtype=np.int64),
+            offsets=np.zeros(1, dtype=np.int64),
+            rows=np.empty(0, dtype=np.int64),
+            pairs=np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
+            weights=np.zeros(len(pairs)),
+            tables=np.zeros((len(pairs), 1), dtype=bool),
+        )
 
     def test_empty(self):
-        assert found_pair_set([], 8) == set()
-        assert found_pair_set([np.empty((0, 2), dtype=np.int64)], 8) == set()
+        report = Step3Report(found=np.zeros((8, 8), dtype=bool))
+        report.mark_found(self.node_pairs([[0, 1]]), [])
+        report.mark_found(self.node_pairs([[0, 1]]), [np.empty(0, dtype=np.int64)])
+        assert report.found_pairs == set()
 
     def test_many_duplicates(self):
-        found = np.tile(np.array([[3, 5], [0, 7], [3, 5]]), (500, 1))
-        result = found_pair_set([found[:700], found[700:]], 8)
-        assert result == {(3, 5), (0, 7)}
-        assert all(type(a) is int and type(b) is int for a, b in result)
+        report = Step3Report(found=np.zeros((8, 8), dtype=bool))
+        rows = np.tile(np.array([0, 1, 0]), 500)
+        report.mark_found(self.node_pairs([[3, 5], [0, 7]]), [rows[:700], rows[700:]])
+        assert report.found_pairs == {(3, 5), (0, 7)}
+        assert all(type(a) is int and type(b) is int for a, b in report.found_pairs)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(min_value=1, max_value=40),
+        n=st.integers(min_value=2, max_value=40),
         rows=st.integers(min_value=0, max_value=300),
         splits=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=10**6),
     )
     def test_matches_tuple_set(self, n, rows, splits, seed):
         rng = np.random.default_rng(seed)
-        # A small pool of distinct pairs drawn many times over.
-        pool = rng.integers(0, n, size=(max(1, rows // 8), 2))
-        found = pool[rng.integers(0, pool.shape[0], size=rows)]
-        chunks = np.array_split(found, splits)
-        assert found_pair_set(chunks, n) == set(map(tuple, found.tolist()))
+        # A small pool of distinct canonical pairs drawn many times over.
+        a = rng.integers(0, n - 1, size=max(1, rows // 8))
+        pool = np.stack([a, a + 1 + rng.integers(0, n - 1 - a)], axis=1)
+        found = rng.integers(0, pool.shape[0], size=rows)
+        report = Step3Report(found=np.zeros((n, n), dtype=bool))
+        report.mark_found(self.node_pairs(pool), np.array_split(found, splits))
+        assert report.found_pairs == set(map(tuple, pool[found].tolist()))

@@ -237,17 +237,17 @@ def test_duplicate_keys_rejected():
         batched.add("a", 3, np.ones((1, 3), dtype=bool))
 
 
-def padded_stack(lanes):
-    """The bulk-registration view of per-lane tables: a padded 3-D bool
-    stack plus the per-lane (num_items, num_searches) columns."""
+def cell_table_view(lanes):
+    """The bulk-registration view of per-lane tables: every search's row in
+    one cell table (padded to the widest lane), plus the per-lane
+    ``num_items`` and search ``bounds`` and each search's cell."""
     num_items = np.array([items for _, items, _ in lanes], dtype=np.int64)
-    num_searches = np.array([table.shape[0] for _, _, table in lanes], dtype=np.int64)
-    stack = np.zeros(
-        (len(lanes), int(num_searches.max()), int(num_items.max())), dtype=bool
-    )
+    bounds = np.zeros(len(lanes) + 1, dtype=np.int64)
+    np.cumsum([table.shape[0] for _, _, table in lanes], out=bounds[1:])
+    cell_table = np.zeros((int(bounds[-1]), int(num_items.max())), dtype=bool)
     for index, (_, items, table) in enumerate(lanes):
-        stack[index, : table.shape[0], :items] = table
-    return num_items, num_searches, stack
+        cell_table[bounds[index]:bounds[index + 1], :items] = table
+    return num_items, bounds, np.arange(int(bounds[-1])), cell_table
 
 
 def run_bulk(lanes, schedule, *, beta, eval_rounds, amplification, seed,
@@ -256,10 +256,7 @@ def run_bulk(lanes, schedule, *, beta, eval_rounds, amplification, seed,
         batch_rng=lane_seeds(seed, len(lanes)),
         beta=beta, eval_rounds=eval_rounds, amplification=amplification,
     )
-    num_items, num_searches, stack = padded_stack(lanes)
-    batched.add_lanes(
-        [key for key, _, _ in lanes], num_items, num_searches, stack
-    )
+    batched.add_lanes([key for key, _, _ in lanes], *cell_table_view(lanes))
     return batched.run(schedule, early_stop=early_stop)
 
 
@@ -296,53 +293,75 @@ def test_add_lanes_equals_add_loop_with_corruption(seed):
 
 class TestAddLanesValidation:
     def good_inputs(self):
-        stack = np.zeros((2, 3, 4), dtype=bool)
-        stack[0, :2, :3] = True
-        stack[1] = True
+        cell_table = np.zeros((3, 4), dtype=bool)
+        cell_table[0, :3] = True
+        cell_table[1] = True
+        # Lane "a": two searches over cells 0 and 2 (3 items); lane "b":
+        # three searches, two of them over the shared cell 1 (4 items).
         return (
             ["a", "b"],
             np.array([3, 4]),
-            np.array([2, 3]),
-            stack,
+            np.array([0, 2, 5]),
+            np.array([0, 2, 1, 1, 2]),
+            cell_table,
         )
 
-    def test_accepts_well_formed_stack(self):
-        keys, items, searches, stack = self.good_inputs()
+    def test_accepts_well_formed_table(self):
         batched = BatchedMultiSearch(batch_rng=0, beta=100.0)
-        batched.add_lanes(keys, items, searches, stack)
+        batched.add_lanes(*self.good_inputs())
         assert len(batched) == 2
 
-    def test_rejects_true_padding(self):
-        keys, items, searches, stack = self.good_inputs()
-        stack = stack.copy()
-        stack[0, 2, 0] = True  # outside lane 0's (2, 3) window
+    def test_shared_cells_equal_the_add_loop(self):
+        keys, items, bounds, cells, cell_table = self.good_inputs()
+        lanes = [
+            (key, int(items[index]),
+             cell_table[cells[bounds[index]:bounds[index + 1]], :items[index]])
+            for index, key in enumerate(keys)
+        ]
+        kwargs = dict(beta=100.0, eval_rounds=1.0, amplification=12.0, seed=5)
+        schedule = [1, 0, 2, 1, 1]
+        bulk = BatchedMultiSearch(
+            batch_rng=lane_seeds(5, 2), beta=100.0, eval_rounds=1.0,
+        )
+        bulk.add_lanes(keys, items, bounds, cells, cell_table)
+        assert_reports_identical(
+            run_batched(lanes, schedule, **kwargs), bulk.run(schedule)
+        )
+
+    def test_rejects_marked_item_outside_window(self):
+        keys, items, bounds, cells, cell_table = self.good_inputs()
+        cells = cells.copy()
+        cells[0] = 1  # cell 1 marks item 3, outside lane a's 3 items
         batched = BatchedMultiSearch(batch_rng=0, beta=100.0)
         with pytest.raises(QuantumSimulationError):
-            batched.add_lanes(keys, items, searches, stack)
+            batched.add_lanes(keys, items, bounds, cells, cell_table)
 
     def test_rejects_misaligned_columns(self):
-        keys, items, searches, stack = self.good_inputs()
+        keys, items, bounds, cells, cell_table = self.good_inputs()
         batched = BatchedMultiSearch(batch_rng=0, beta=100.0)
         with pytest.raises(QuantumSimulationError):
-            batched.add_lanes(keys, items[:1], searches, stack)
+            batched.add_lanes(keys, items[:1], bounds, cells, cell_table)
+        with pytest.raises(QuantumSimulationError):
+            batched.add_lanes(keys, items, bounds, cells[:-1], cell_table)
+        with pytest.raises(QuantumSimulationError):
+            batched.add_lanes(keys, items, bounds, cells + 3, cell_table)
 
-    def test_rejects_window_larger_than_stack(self):
-        keys, items, searches, stack = self.good_inputs()
+    def test_rejects_window_larger_than_table(self):
+        keys, items, bounds, cells, cell_table = self.good_inputs()
         batched = BatchedMultiSearch(batch_rng=0, beta=100.0)
         with pytest.raises(QuantumSimulationError):
-            batched.add_lanes(keys, items + 10, searches, stack)
+            batched.add_lanes(keys, items + 10, bounds, cells, cell_table)
 
     def test_rejects_duplicate_key_across_paths(self):
-        keys, items, searches, stack = self.good_inputs()
         batched = BatchedMultiSearch(batch_rng=0, beta=100.0)
         batched.add("a", 3, np.ones((1, 3), dtype=bool))
         with pytest.raises(QuantumSimulationError):
-            batched.add_lanes(keys, items, searches, stack)
+            batched.add_lanes(*self.good_inputs())
 
     def test_empty_bulk_is_a_no_op(self):
         batched = BatchedMultiSearch(batch_rng=0, beta=100.0)
         batched.add_lanes(
-            [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-            np.empty((0, 1, 1), dtype=bool),
+            [], np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64),
+            np.empty(0, dtype=np.int64), np.empty((0, 1), dtype=bool),
         )
         assert len(batched) == 0

@@ -168,7 +168,8 @@ class TestContractSurface:
             batched.add("lane", 2, table, rng=0)
         with pytest.raises(TypeError, match="seeds"):
             batched.add_lanes(
-                ["lane"], np.array([2]), np.array([1]), table[None], seeds=[0]
+                ["lane"], np.array([2]), np.array([0, 1]), np.array([0]), table,
+                seeds=[0],
             )
 
     def test_step3_takes_no_contract_option(self):
@@ -404,8 +405,11 @@ class TestZeroSolutionSkip:
         # is no corruption and lanes with nothing left to find are frozen.
         # A measured repetition draws exactly one variate per entry of
         # ``batch`` — possibly none.
+        prepared = [
+            schedule_values(lane, self.SCHEDULE, beta) for lane in batched._lanes
+        ]
         if beta is not None:
-            assert all(lane.delta.min() > 0 for lane in batched._lanes)
+            assert all(delta.min() > 0 for _, _, delta in prepared)
         entries = iter(log)
         measured_per_rep = []
         for rep in range(len(self.SCHEDULE)):
@@ -416,7 +420,7 @@ class TestZeroSolutionSkip:
                 assert method == "random" and flags.size == len(lanes)
                 measured = [
                     index for index in range(len(lanes))
-                    if flags[index] >= batched._lanes[index].delta[rep]
+                    if flags[index] >= prepared[index][2][rep]
                 ]
             batch = [(index, s) for index in measured for s in sorted(pending[index])]
             measured_per_rep.append(len(batch))
@@ -427,8 +431,8 @@ class TestZeroSolutionSkip:
             assert draws.size == len(batch), (rep, draws.size, len(batch))
             hits = []
             for (index, search), draw in zip(batch, draws):
-                lane = batched._lanes[index]
-                angle = (2 * lane.iters[rep] + 1) * lane.theta[search]
+                iters, theta, _delta = prepared[index]
+                angle = (2 * iters[rep] + 1) * theta[search]
                 if draw < np.sin(angle) ** 2:
                     hits.append((index, search))
             if hits:
@@ -456,16 +460,29 @@ class TestZeroSolutionSkip:
             assert report.repetitions == sequential[key].repetitions
 
 
+def schedule_values(lane, schedule, beta):
+    """A lane's ``(iters, theta, delta)`` under ``schedule``, derived the
+    way :meth:`MultiSearch.run` derives them per repetition: BBHT-capped
+    iteration counts, Grover angles per search, Lemma 5 deviation bounds."""
+    padded_items = lane.num_items + 1
+    iters = np.minimum(np.asarray(schedule), max_iterations(padded_items))
+    theta = np.arcsin(np.sqrt((lane.counts + 1) / padded_items))
+    delta = np.zeros(len(schedule))
+    if beta is not None:
+        mass = uniform_atypical_mass(padded_items, lane.counts.size, beta)
+        delta = np.minimum(1.0, 2.0 * iters * math.sqrt(mass))
+    return iters, theta, delta
+
+
 def run_lanes_sequentially(self, schedule, *, early_stop=True):
     """Stand-in for :meth:`BatchedMultiSearch.run` in the charge-identity
     tests: every lane runs through ``MultiSearch.run`` on the generator its
     entry of the Step-3 seed column (``batch_rng``) seeds."""
     reports = {}
     for lane, lane_seed in zip(self._lanes, np.asarray(self.batch_rng)):
-        offsets = lane.eff_offsets
         marked = [
-            lane.eff_flat[offsets[index]:offsets[index + 1]]
-            for index in range(lane.num_searches)
+            lane.flat[start:start + count]
+            for start, count in zip(lane.starts.tolist(), lane.counts.tolist())
         ]
         # The effective (truncated) solution sets are typical by
         # construction, so MultiSearch keeps them as they are.

@@ -105,12 +105,17 @@ def _run_step2(
     )
     stream_probe = rng.random(16)
     return {
-        "node_pairs": node_pairs,
+        "node_pairs": as_label_dict(node_pairs),
         "coverage": coverage,
         "delivered": delivered,
         "ledger": network.ledger.snapshot(),
         "stream": stream_probe,
     }
+
+
+def as_label_dict(node_pairs) -> dict:
+    """The per-label dict view of either Step-2 form's output."""
+    return node_pairs if isinstance(node_pairs, dict) else node_pairs.as_dict()
 
 
 def _assert_identical(segmented: dict, loops: dict) -> None:
@@ -247,7 +252,9 @@ def test_step2_no_scope_still_equivalent(n):
             network, partitions, instance, constants, rng, hollow_two_hop
         )
         assert coverage == 1.0
-        assert all(len(pairs) == 0 for pairs, _, _ in node_pairs.values())
+        assert all(
+            len(pairs) == 0 for pairs, _, _ in as_label_dict(node_pairs).values()
+        )
 
 
 class TestLazySchemeStreamIdentity:

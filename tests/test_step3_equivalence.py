@@ -36,18 +36,22 @@ from repro.core.evaluation import (
 from repro.core.identify_class import ClassAssignment, run_identify_class
 from repro.core.quantum_step3 import run_step3
 
+from test_step2_equivalence import _tripartite_instance as tripartite_instance
+
 SIZES = [16, 48, 128]
 CONSTANTS = PaperConstants(scale=0.5)
 #: 2^1 / (class_bound_factor · scale · log n) > 1 — forces dup > 1 at n=16.
 DUP_CONSTANTS = PaperConstants(scale=0.5, class_bound_factor=0.333)
 
 
-def build_env(n: int, seed: int, constants: PaperConstants):
+def build_env(n: int, seed: int, constants: PaperConstants, instance=None):
     """One fully seeded Step-3 input world (network, partitions, assignment,
     node_pairs), built through the real Step-2 and IdentifyClass paths so
     both drivers see identical pipeline state."""
-    graph = repro.random_undirected_graph(n, density=0.5, max_weight=7, rng=seed)
-    instance = repro.FindEdgesInstance(graph)
+    if instance is None:
+        graph = repro.random_undirected_graph(n, density=0.5, max_weight=7, rng=seed)
+        instance = repro.FindEdgesInstance(graph)
+    graph = instance.graph
     partitions = CliquePartitions(n)
     network = CongestClique(n, rng=seed + 1)
     network.register_scheme("triple", partitions.triple_labels())
@@ -85,12 +89,16 @@ def forced_class_assignment(assignment: ClassAssignment, alpha: int) -> ClassAss
     return ClassAssignment(classes=classes, t_alpha=t_alpha)
 
 
-def run_both(n, seed, constants, search_mode, *, force_alpha=None):
+def run_both(n, seed, constants, search_mode, *, force_alpha=None, instance=None):
     outcomes = []
     for driver in (run_step3, reference.run_step3_loops):
-        network, partitions, assignment, node_pairs = build_env(n, seed, constants)
+        network, partitions, assignment, node_pairs = build_env(
+            n, seed, constants, instance
+        )
         if force_alpha is not None:
             assignment = forced_class_assignment(assignment, force_alpha)
+        if driver is reference.run_step3_loops:
+            node_pairs = node_pairs.as_dict()
         generator = np.random.default_rng(seed + 77)
         report = driver(
             network,
@@ -155,6 +163,39 @@ class TestRunStep3Equivalence:
             phase.startswith("step3.alpha1.duplication")
             for phase in array_form["ledger"]
         )
+        assert_outcomes_identical(array_form, loops_form)
+
+
+class TestStep3EquivalenceEdgeCases:
+    """The CSR hand-off where it is least regular: scoped instances at
+    rate < 1, and lanes whose solutions fail Lemma 3."""
+
+    @pytest.mark.parametrize("m", [10, 27, 48])
+    @pytest.mark.parametrize("search_mode", ["quantum", "classical"])
+    def test_scoped_rate_below_one(self, m, search_mode):
+        # Only the I×J segments hold scope pairs, so every other label is
+        # empty, and at rate < 1 the x of one segment keep different
+        # numbers of pairs (uneven lanes).
+        constants = PaperConstants(scale=0.05)
+        instance = tripartite_instance(m, 7)
+        assert constants.lambda_rate(3 * m) < 1
+        array_form, loops_form = run_both(
+            3 * m, 7, constants, search_mode, instance=instance
+        )
+        _, _, _, node_pairs = build_env(3 * m, 7, constants, instance)
+        num_pairs = node_pairs.num_pairs
+        assert (num_pairs == 0).any()
+        assert len(set(num_pairs[num_pairs > 0].tolist())) > 1
+        assert array_form["report"].total_searches > 0
+        assert_outcomes_identical(array_form, loops_form)
+
+    @pytest.mark.parametrize("n, scale", [(48, 0.5), (48, 0.05), (81, 0.05)])
+    def test_atypical_lanes_fall_back_identically(self, n, scale):
+        # A tiny β makes some item solve more than β/2 of a lane's searches
+        # (Lemma 3 fails): those lanes take the sequential truncation path.
+        constants = PaperConstants(scale=scale, eval_beta_factor=0.5)
+        array_form, loops_form = run_both(n, 5, constants, "quantum")
+        assert array_form["report"].typicality_truncations > 0
         assert_outcomes_identical(array_form, loops_form)
 
 
@@ -253,7 +294,7 @@ class TestClassicalAblation:
             max_domain = max(
                 (
                     len(assignment.blocks_of_class(bu, bv, alpha))
-                    for (bu, bv, _x) in node_pairs
+                    for (bu, bv, _x) in node_pairs.labels.tolist()
                     if assignment.blocks_of_class(bu, bv, alpha)
                 ),
                 default=0,
