@@ -93,8 +93,12 @@ class FindEdgesInstance:
             return
         if not isinstance(self.scope, np.ndarray):
             self.scope = pair_mask(self.scope, n)
-        elif self.scope.shape != (n, n) or np.tril(self.scope).any():
-            raise GraphError("a scope mask must be an (n, n) strict upper triangle")
+        elif (
+            self.scope.dtype != bool
+            or self.scope.shape != (n, n)
+            or np.tril(self.scope).any()
+        ):
+            raise GraphError("a scope mask must be a boolean (n, n) strict upper triangle")
 
     @property
     def num_vertices(self) -> int:

@@ -104,18 +104,14 @@ class NodePairs:
         """Kept pairs per label."""
         return np.diff(self.offsets)
 
-    def entry(self, index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Label ``index``'s ``(pairs, weights, witness_table)``."""
-        rows = self.rows[self.offsets[index]:self.offsets[index + 1]]
-        return self.pairs[rows], self.weights[rows], self.tables[rows]
-
     def as_dict(self) -> dict:
-        """The per-label dict view the loop forms of
-        :mod:`repro.core._reference` take."""
-        return {
-            tuple(label): self.entry(index)
-            for index, label in enumerate(self.labels.tolist())
-        }
+        """Each label's ``(pairs, weights, witness_table)`` — the per-label
+        dict view the loop forms of :mod:`repro.core._reference` take."""
+        view = {}
+        for index, label in enumerate(self.labels.tolist()):
+            rows = self.rows[self.offsets[index]:self.offsets[index + 1]]
+            view[tuple(label)] = self.pairs[rows], self.weights[rows], self.tables[rows]
+        return view
 
 
 @dataclass

@@ -42,7 +42,10 @@ class TestInstance:
     def test_scope_mask_must_be_strict_upper_triangle(self):
         lower = np.zeros((4, 4), dtype=bool)
         lower[2, 1] = True
-        for bad in (lower, np.eye(4, dtype=bool), np.zeros((3, 3), dtype=bool)):
+        wrong_dtype = np.zeros((4, 4), dtype=np.int64)
+        for bad in (
+            lower, np.eye(4, dtype=bool), np.zeros((3, 3), dtype=bool), wrong_dtype,
+        ):
             with pytest.raises(GraphError):
                 FindEdgesInstance(one_triangle(), scope=bad)
 
