@@ -119,7 +119,7 @@ class BatchedMultiSearch:
 
     Parameters mirror :class:`MultiSearch` (``beta``, ``eval_rounds``,
     ``amplification`` are shared by the whole class); lanes are added with
-    :meth:`add` (one label at a time) or :meth:`add_lanes` (a padded stack)
+    :meth:`add` (one label at a time) or :meth:`add_lanes` (a shared cell table)
     in the same order the sequential implementation would have constructed
     them.  ``batch_rng`` seeds the class's one batch generator: a
     generator, an integer seed, or — the canonical Step-3 use — the whole

@@ -263,7 +263,7 @@ def run_bulk(lanes, schedule, *, beta, eval_rounds, amplification, seed,
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("beta", BETA_REGIMES)
 def test_add_lanes_equals_add_loop(seed, beta):
-    # Bulk registration from the padded stack is bit-identical to the
+    # Bulk registration from one cell table is bit-identical to the
     # per-label add loop for the same batch_rng — including atypical lanes
     # (beta=3.0 truncates).
     rng = np.random.default_rng(300 + seed)
